@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical-degeneracy error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from . import dispersion, figures, ftsi, metrology, shaper
 from .config import RunConfig, config_header, load_config
 from .errors import (BsbShaperError, ConfigError, DegenerateMaterialError,
                      EmptyMaskError, SidebandOverlapError)
+from .io import write_table
 from .pulsefield import (apply_transfer, derivative_envelope_oracle,
                          derivative_field_oracle, gaussian_pulse, read_field_csv,
                          replica_difference, write_field_csv)
@@ -41,13 +43,8 @@ def _add_config_flags(p):
     p.add_argument("--outdir", dest="outdir")
 
 
-_CONFIG_KEYS = ("n_samples", "nu_start_thz", "nu_end_thz", "material", "material_b",
-                "thickness_um", "mode", "carrier_nm", "fwhm_thz", "tau_ftsi_fs",
-                "window_order", "window_width_fs", "outdir")
-
-
 def _config_from(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -78,10 +75,8 @@ def _print_design(solution, config: RunConfig, mode: str):
     pulse = gaussian_pulse(config.grid(), config.omega0,
                            2 * np.pi * config.fwhm_thz * 1e12)
     overlap = metrology.stack_overlap(solution, pulse, mode)
-    total = 0.0
     for material, length in solution.segments:
         print(f"segment: {material.name} thickness_um={length * 1e6:.6f}")
-        total += abs(length)
     print(f"achieved_delay_fs: {solution.achieved_delay * 1e15:.6f}")
     print(f"achieved_order: {solution.achieved_order:.6f}")
     print(f"omega1_over_omega0: {solution.achieved_omega1 / config.omega0:.6e}")
@@ -118,15 +113,10 @@ def _cmd_transfer(args):
     comp = Compensator(dispersion.get_material(config.material), config.thickness_um * 1e-6)
     pair = shaper.transfer_exact(comp, grid)
     resp = shaper.effective_response(pair, config.mode)
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
-        out.write(config_header(config))
-        out.write("omega_rad_per_s,abs_R,arg_R,abs_Hx,abs_Hy,masked\n")
-        for w, r, hx, hy, m in zip(grid.omegas, resp.values, pair.h_x, pair.h_y, resp.masked):
-            out.write(f"{w!r},{abs(r)!r},{np.angle(r)!r},{abs(hx)!r},{abs(hy)!r},{int(m)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write_table(sys.stdout if args.output is None else args.output, [config_header(config)],
+                ["omega_rad_per_s", "abs_R", "arg_R", "abs_Hx", "abs_Hy", "masked"],
+                [grid.omegas, np.abs(resp.values), np.angle(resp.values), np.abs(pair.h_x),
+                 np.abs(pair.h_y), resp.masked])
     return 0
 
 
@@ -176,7 +166,7 @@ def _cmd_ftsi(args):
     else:  # jump
         rp = ftsi.read_phase_csv(args.input)
         jump = ftsi.detect_phase_jump(rp, config.omega0)
-        print(f"jump_location_rad_per_s: {jump.location!r}")
+        print(f"jump_location_rad_per_s: {float(jump.location)!r}")
         print(f"jump_magnitude_rad: {jump.magnitude!r}")
         print(f"jump_sign: {jump.sign}")
     return 0

@@ -31,7 +31,6 @@ class RunConfig:
     window_width_fs: float | None = None  # None: tau_ftsi / 3
     extra_phase_gdd_fs2: float = 200.0  # stand-in for delay-crystal dispersion
     outdir: str = "."
-    seed: int = 0
 
     @property
     def omega0(self) -> float:
@@ -81,21 +80,22 @@ def validate_config(config: RunConfig) -> RunConfig:
         problems.append(str(exc))
     if config.mode not in MODES:
         problems.append(f"mode must be one of {MODES}, got {config.mode!r}")
+    # each comparison is written so that NaN fails it
     if config.thickness_um is not None and \
-            abs(config.thickness_um) * 1e-6 > shaper.MAX_THICKNESS:
+            not abs(config.thickness_um) * 1e-6 <= shaper.MAX_THICKNESS:
         problems.append(
             f"|thickness| {config.thickness_um} um exceeds the "
             f"{shaper.MAX_THICKNESS * 1e6:.0f} um bound"
         )
-    if config.carrier_nm <= 0:
+    if not config.carrier_nm > 0:
         problems.append("carrier_nm must be positive")
-    if config.fwhm_thz <= 0:
+    if not config.fwhm_thz > 0:
         problems.append("fwhm_thz must be positive")
-    if config.tau_ftsi_fs <= 0:
+    if not config.tau_ftsi_fs > 0:
         problems.append("tau_ftsi_fs must be positive")
     if config.window_order < 2 or config.window_order % 2:
         problems.append("window_order must be an even integer >= 2")
-    if config.window_width_fs is not None and config.window_width_fs <= 0:
+    if config.window_width_fs is not None and not config.window_width_fs > 0:
         problems.append("window_width_fs must be positive")
     if not os.path.isdir(config.outdir) or not os.access(config.outdir, os.W_OK):
         problems.append(f"outdir {config.outdir!r} is not a writable directory")

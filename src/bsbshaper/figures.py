@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dispersion, ftsi, metrology, shaper
 from .config import RunConfig, config_header, validate_config
+from .io import meta_line, write_table
 from .pulsefield import apply_transfer, gaussian_pulse
 from .shaper import Compensator
 
@@ -27,21 +28,12 @@ def _canonical_compensator(config: RunConfig, mode: str) -> Compensator:
         return Compensator(material, config.thickness_um * 1e-6)
     if mode == "field":
         sol = metrology.thickness_for_delay(material, config.omega0, 0.17e-15)
-    elif mode == "envelope-half":
-        sol = metrology.thickness_for_order(material, config.omega0, 0.5)
     else:
-        sol = metrology.thickness_for_order(material, config.omega0, 1.0)
+        sol = metrology.thickness_for_order(material, config.omega0, 0.5)
     return Compensator(material, sol.segments[0][1])
 
 
-def _write_csv(path, header_lines, columns, rows):
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(line)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(int(v)) if isinstance(v, (int, np.integer))
-                              else repr(float(v)) for v in row) + "\n")
+_write_csv = write_table  # the one name every figure table is written through
 
 
 def _ratio_pipeline(config: RunConfig, mode: str, tag: str, outdir):
@@ -52,26 +44,22 @@ def _ratio_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     resp = shaper.effective_response(pair, mode)
     first = shaper.first_order_response(comp, grid, mode, config.omega0)
     t_const = abs(dispersion.delta_k_prime(comp.material, config.omega0) * comp.thickness / 2)
-    if mode == "field":
-        objective = shaper.objective_r1(grid, t_const)
-        unshaped, shaped = pair.h_x, pair.h_y
-    else:
-        objective = shaper.objective_r2(grid, t_const, config.omega0)
-        unshaped, shaped = -pair.h_y, pair.h_x
+    objective = shaper.objective(grid, mode, t_const, config.omega0)
+    unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
     head = [config_header(config), f"# compensator: {comp.material.name} "
             f"{comp.thickness * 1e6!r} um, mode {mode}\n"]
 
     spectra = os.path.join(outdir, f"{tag}_spectra.csv")
     _write_csv(spectra, head, ["omega_rad_per_s", "unshaped_intensity", "shaped_intensity"],
-               zip(grid.omegas, np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power))
+               [grid.omegas, np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
 
     ratio = os.path.join(outdir, f"{tag}_ratio.csv")
     _write_csv(ratio, head,
                ["omega_rad_per_s", "ratio_exact", "ratio_objective", "ratio_first_order",
                 "masked"],
-               zip(grid.omegas, np.abs(resp.values), np.abs(objective.values),
-                   np.abs(first.values), resp.masked.astype(int)))
+               [grid.omegas, np.abs(resp.values), np.abs(objective.values),
+                np.abs(first.values), resp.masked])
     return [spectra, ratio]
 
 
@@ -81,12 +69,10 @@ def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     pulse = gaussian_pulse(grid, omega0, 2 * np.pi * config.fwhm_thz * 1e12)
     comp = _canonical_compensator(config, mode)
     pair = shaper.transfer_exact(comp, grid)
-    if mode == "envelope-half":
-        arm_signal = apply_transfer(pulse, -pair.full("y"))
-        arm_shaped = apply_transfer(pulse, pair.full("x"))
-    else:
-        arm_signal = apply_transfer(pulse, pair.full("x"))
-        arm_shaped = apply_transfer(pulse, -pair.full("y"))
+    signal, shaped = shaper.channels(pair, mode)
+    common = np.exp(1j * pair.common_phase)
+    arm_signal = apply_transfer(pulse, signal * common)
+    arm_shaped = apply_transfer(pulse, -shaped * common)
 
     tau = config.tau_ftsi_fs * 1e-15
     gdd = config.extra_phase_gdd_fs2 * 1e-30
@@ -109,13 +95,13 @@ def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     for name, gram in [("interferogram_with_bsb", gram_with),
                        ("interferogram_without_bsb", gram_ref)]:
         p = os.path.join(outdir, f"{tag}_{name}.csv")
-        _write_csv(p, head + [f"# delay_hint={gram.delay_hint!r}\n"],
-                   ["omega_rad_per_s", "intensity"], zip(grid.omegas, gram.intensity))
+        _write_csv(p, head + [meta_line("delay_hint", gram.delay_hint)],
+                   ["omega_rad_per_s", "intensity"], [grid.omegas, gram.intensity])
         paths.append(p)
 
     p = os.path.join(outdir, f"{tag}_retrieved_phase.csv")
     _write_csv(p, head, ["omega_rad_per_s", "phase_rad", "weight", "masked"],
-               zip(grid.omegas, diff.phase, diff.weight, diff.masked.astype(int)))
+               [grid.omegas, diff.phase, diff.weight, diff.masked])
     paths.append(p)
 
     if mode == "envelope-half":

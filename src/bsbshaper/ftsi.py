@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (EmptyMaskError, GridMismatchError, SidebandOverlapError,
                      UndersampledFringeError)
+from .io import meta_line, read_table, write_table
 from .pulsefield import SpectralField, SpectralGrid, TimeTrace, to_frequency, to_time
 
 WEIGHT_MASK_FRACTION = 1e-3
@@ -214,61 +215,23 @@ def detect_phase_jump(rp: RetrievedPhase, omega0: float,
 
 
 def write_interferogram_csv(gram: Interferogram, path):
-    g = gram.grid
-    with open(path, "w") as fh:
-        fh.write(f"# delay_hint={gram.delay_hint!r}\n")
-        fh.write(f"# grid={g.n_samples} {g.omega_start!r} {g.omega_step!r}\n")
-        fh.write("omega_rad_per_s,intensity\n")
-        for w, s in zip(g.omegas, gram.intensity):
-            fh.write(f"{float(w)!r},{float(s)!r}\n")
+    write_table(path, [meta_line("delay_hint", gram.delay_hint), gram.grid.metadata_line()],
+                ["omega_rad_per_s", "intensity"], [gram.grid.omegas, gram.intensity])
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    delay = None
-    grid = None
-    vals = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# delay_hint="):
-                delay = float(line.split("=", 1)[1])
-            elif line.startswith("# grid="):
-                n, start, step = line.split("=", 1)[1].split()
-                grid = SpectralGrid(int(n), float(start), float(step))
-            elif not line or line.startswith("#") or line.startswith("omega_rad_per_s"):
-                continue
-            else:
-                vals.append(float(line.split(",")[1]))
-    if delay is None or grid is None:
-        raise ValueError(f"{path}: missing delay_hint/grid metadata")
-    return Interferogram(grid, np.array(vals), delay)
+    meta, data = read_table(path, ("delay_hint", "grid"))
+    return Interferogram(SpectralGrid.from_metadata(meta), data["intensity"],
+                         float(meta["delay_hint"]))
 
 
 def write_phase_csv(rp: RetrievedPhase, path):
-    g = rp.grid
-    with open(path, "w") as fh:
-        fh.write(f"# grid={g.n_samples} {g.omega_start!r} {g.omega_step!r}\n")
-        fh.write("omega_rad_per_s,phase_rad,weight,masked\n")
-        for w, p, wt, m in zip(g.omegas, rp.phase, rp.weight, rp.masked):
-            fh.write(f"{float(w)!r},{float(p)!r},{float(wt)!r},{int(m)}\n")
+    write_table(path, [rp.grid.metadata_line()],
+                ["omega_rad_per_s", "phase_rad", "weight", "masked"],
+                [rp.grid.omegas, rp.phase, rp.weight, rp.masked])
 
 
 def read_phase_csv(path) -> RetrievedPhase:
-    grid = None
-    phase, weight, masked = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# grid="):
-                n, start, step = line.split("=", 1)[1].split()
-                grid = SpectralGrid(int(n), float(start), float(step))
-            elif not line or line.startswith("#") or line.startswith("omega_rad_per_s"):
-                continue
-            else:
-                _, p, wt, m = line.split(",")
-                phase.append(float(p))
-                weight.append(float(wt))
-                masked.append(bool(int(m)))
-    if grid is None:
-        raise ValueError(f"{path}: missing grid metadata")
-    return RetrievedPhase(grid, np.array(phase), np.array(weight), np.array(masked))
+    meta, data = read_table(path, ("grid",))
+    return RetrievedPhase(SpectralGrid.from_metadata(meta), data["phase_rad"], data["weight"],
+                          data["masked"].astype(bool))

@@ -17,7 +17,7 @@ import numpy as np
 from . import dispersion, shaper
 from .dispersion import Material
 from .errors import DegenerateMaterialError
-from .pulsefield import SpectralField, SpectralGrid, apply_transfer
+from .pulsefield import SpectralField, apply_transfer
 from .shaper import Compensator
 
 BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity
@@ -68,16 +68,7 @@ def mode_overlap(a: SpectralField, b: SpectralField, band=None) -> float:
 
 def efficiency(comp: Compensator, fld: SpectralField, mode: str) -> float:
     """Fraction of input energy ending up in the shaped polarization channel."""
-    pair = shaper.transfer_exact(comp, fld.grid)
-    shaped = pair.h_x if mode == "envelope-half" else pair.h_y
-    power = np.abs(fld.amplitude) ** 2
-    return float(np.sum(np.abs(shaped) ** 2 * power) / np.sum(power))
-
-
-def _objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float):
-    if mode == "field":
-        return shaper.objective_r1(grid, t_const)
-    return shaper.objective_r2(grid, t_const, omega0)
+    return shaped_mode(comp, fld, mode).energy() / fld.energy()
 
 
 def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralField:
@@ -86,9 +77,19 @@ def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralFie
     The common propagation phase is shared with the unshaped signal channel
     and cancels in any relative-shape comparison, so it is omitted here.
     """
-    pair = shaper.transfer_exact(comp, fld.grid)
-    channel = pair.h_x if mode == "envelope-half" else pair.h_y
-    return apply_transfer(fld, channel)
+    _, shaped = shaper.channels(shaper.transfer_exact(comp, fld.grid), mode)
+    return apply_transfer(fld, shaped)
+
+
+def _score(pair: shaper.TransferPair, fld: SpectralField, mode: str, t_const: float,
+           band) -> OverlapReport:
+    """Overlap of the pair's shaped mode with the mode's objective, and its efficiency."""
+    shaped = apply_transfer(fld, shaper.channels(pair, mode)[1])
+    objective = shaper.objective(fld.grid, mode, t_const or 1e-16, fld.omega0)
+    if band is None:
+        band = band_from_field(fld)
+    ov = mode_overlap(shaped, apply_transfer(fld, objective), band)
+    return OverlapReport(ov, shaped.energy() / fld.energy(), band)
 
 
 def score_compensator(comp: Compensator, fld: SpectralField, mode: str,
@@ -100,11 +101,7 @@ def score_compensator(comp: Compensator, fld: SpectralField, mode: str,
     source spectral intensity exceeds BAND_INTENSITY_FLOOR of its peak.
     """
     t_const = abs(dispersion.delta_k_prime(comp.material, fld.omega0) * comp.thickness / 2)
-    objective = _objective(fld.grid, mode, t_const or 1e-16, fld.omega0)
-    if band is None:
-        band = band_from_field(fld)
-    ov = mode_overlap(shaped_mode(comp, fld, mode), apply_transfer(fld, objective), band)
-    return OverlapReport(ov, efficiency(comp, fld, mode), band)
+    return _score(shaper.transfer_exact(comp, fld.grid), fld, mode, t_const, band)
 
 
 def _delta_k_checked(material: Material, omega0: float) -> float:
@@ -186,9 +183,4 @@ def stack_overlap(solution: DesignSolution, fld: SpectralField, mode: str = "fie
                   band=None) -> float:
     """Overlap of a (possibly multi-segment) stack's exact shaped mode with its objective."""
     pair = shaper.transfer_exact_segments(solution.segments, fld.grid)
-    channel = pair.h_x if mode == "envelope-half" else pair.h_y
-    t_const = abs(solution.achieved_delay) / 2 or 1e-16
-    objective = _objective(fld.grid, mode, t_const, fld.omega0)
-    if band is None:
-        band = band_from_field(fld)
-    return mode_overlap(apply_transfer(fld, channel), apply_transfer(fld, objective), band)
+    return _score(pair, fld, mode, abs(solution.achieved_delay) / 2, band).overlap

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, SupportLeakError
+from .io import meta_line, read_table, write_table
 
 EDGE_LEAK_FRACTION = 1e-6
 
@@ -47,6 +48,15 @@ class SpectralGrid:
     @property
     def time_step(self) -> float:
         return 2 * np.pi / (self.n_samples * self.omega_step)
+
+    def metadata_line(self) -> str:
+        """The `# grid=n_samples omega_start omega_step` line of a table file."""
+        return meta_line("grid", self.n_samples, self.omega_start, self.omega_step)
+
+    @classmethod
+    def from_metadata(cls, metadata: dict) -> SpectralGrid:
+        n, start, step = metadata["grid"].split()
+        return cls(int(n), float(start), float(step))
 
 
 def default_grid(n_samples: int = 4096,
@@ -194,34 +204,13 @@ def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> Spectra
 
 
 def write_field_csv(field: SpectralField, path):
-    """CSV with header `omega_rad_per_s,re,im` and metadata comment lines."""
-    g = field.grid
-    with open(path, "w") as fh:
-        fh.write(f"# omega0={field.omega0!r}\n")
-        fh.write(f"# grid={g.n_samples} {g.omega_start!r} {g.omega_step!r}\n")
-        fh.write("omega_rad_per_s,re,im\n")
-        for w, a in zip(g.omegas, field.amplitude):
-            fh.write(f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r}\n")
+    """CSV with columns `omega_rad_per_s,re,im` and omega0/grid metadata lines."""
+    write_table(path, [meta_line("omega0", field.omega0), field.grid.metadata_line()],
+                ["omega_rad_per_s", "re", "im"],
+                [field.grid.omegas, field.amplitude.real, field.amplitude.imag])
 
 
 def read_field_csv(path) -> SpectralField:
-    omega0 = None
-    grid = None
-    re, im = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# omega0="):
-                omega0 = float(line.split("=", 1)[1])
-            elif line.startswith("# grid="):
-                n, start, step = line.split("=", 1)[1].split()
-                grid = SpectralGrid(int(n), float(start), float(step))
-            elif not line or line.startswith("#") or line.startswith("omega_rad_per_s"):
-                continue
-            else:
-                _, r, i = line.split(",")
-                re.append(float(r))
-                im.append(float(i))
-    if omega0 is None or grid is None:
-        raise ValueError(f"{path}: missing omega0/grid metadata")
-    return SpectralField(grid, np.array(re) + 1j * np.array(im), omega0)
+    meta, data = read_table(path, ("omega0", "grid"))
+    return SpectralField(SpectralGrid.from_metadata(meta), data["re"] + 1j * data["im"],
+                         float(meta["omega0"]))

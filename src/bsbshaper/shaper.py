@@ -8,7 +8,7 @@ common propagation phase cancelled analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,9 @@ class Compensator:
 
     material: Material
     thickness: float  # m, signed
-    orientation_deg: float = 45.0
 
     def __post_init__(self):
-        if abs(self.thickness) > MAX_THICKNESS:
+        if not abs(self.thickness) <= MAX_THICKNESS:  # also rejects NaN
             raise ValueError(
                 f"|thickness| = {abs(self.thickness):.3g} m exceeds the "
                 f"{MAX_THICKNESS:.0e} m physical bound"
@@ -45,21 +44,18 @@ class TransferPair:
     """Two-polarization response h_x = cos(psi/2), h_y = i sin(psi/2).
 
     The common phase phi(omega) = (k_e + k_o) L / 2 is carried separately and
-    is NOT included in h_x/h_y (common_phase_included stays False); ratios of
-    the two channels are therefore exact with no large-phase division.
+    is NOT included in h_x/h_y; ratios of the two channels are therefore exact
+    with no large-phase division.
     """
 
     grid: SpectralGrid
     h_x: np.ndarray
     h_y: np.ndarray
     common_phase: np.ndarray
-    common_phase_included: bool = False
 
     def full(self, axis: str) -> np.ndarray:
         """Channel response including the common phase factor."""
         h = {"x": self.h_x, "y": self.h_y}[axis]
-        if self.common_phase_included:
-            return h
         return h * np.exp(1j * self.common_phase)
 
 
@@ -105,25 +101,33 @@ def transfer_exact(comp: Compensator, grid: SpectralGrid) -> TransferPair:
     return transfer_exact_segments([(comp.material, comp.thickness)], grid)
 
 
-def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
-    """Ratio of shaped to unshaped channel, common phase removed exactly.
+def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(signal, shaped) channel responses of a mode, unsigned and without common phase.
 
-    field / envelope-integer: signal on x, shaped local oscillator on -y,
-    R = -h_y/h_x = -i tan(psi/2).  envelope-half: axes exchanged, signal on
-    -y and shaped output on x, R = h_x/(-h_y) = i cot(psi/2).  Samples where
-    the unshaped channel drops below DENOMINATOR_FLOOR of its band maximum
-    are masked, not dropped.
+    field / envelope-integer: signal on x, shaped on y.  envelope-half: the
+    axes are exchanged.  The analyser on the -y axis contributes a minus sign
+    wherever the two channels are compared.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "envelope-half":
-        num, den = pair.h_x, -pair.h_y
-    else:
-        num, den = -pair.h_y, pair.h_x
-    den_mag = np.abs(den)
+        return pair.h_y, pair.h_x
+    return pair.h_x, pair.h_y
+
+
+def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
+    """Ratio of shaped to unshaped channel, common phase removed exactly.
+
+    R = -shaped/signal: -h_y/h_x = -i tan(psi/2) for field / envelope-integer
+    and -h_x/h_y = i cot(psi/2) for envelope-half.  Samples where the signal
+    channel drops below DENOMINATOR_FLOOR of its band maximum are masked, not
+    dropped.
+    """
+    signal, shaped = channels(pair, mode)
+    den_mag = np.abs(signal)
     masked = den_mag < DENOMINATOR_FLOOR * den_mag.max()
-    safe = np.where(masked, 1.0, den)
-    values = np.where(masked, 0.0, num / safe)
+    safe = np.where(masked, 1.0, signal)
+    values = np.where(masked, 0.0, -shaped / safe)
     return TransferFunction(pair.grid, values, label=f"effective:{mode}", masked=masked)
 
 
@@ -140,6 +144,13 @@ def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFuncti
         raise ValueError("omega0 outside grid")
     return TransferFunction(grid, -1j * (grid.omegas - omega0) * t2,
                             label="objective-envelope")
+
+
+def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
+    """The mode's derivative objective: objective_r1 for field, objective_r2 otherwise."""
+    if mode == "field":
+        return objective_r1(grid, t_const)
+    return objective_r2(grid, t_const, omega0)
 
 
 def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,

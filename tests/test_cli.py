@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,39 @@ def test_figure_pipeline_and_determinism(tmp_path, capsys):
         assert open(p, "rb").read() == blob  # byte-identical reruns
     header = contents[paths[0]].decode().splitlines()[0]
     assert header.startswith("# config.")
+
+
+def _data_rows(text):
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    return lines[0].split(","), [[float(v) for v in l.split(",")] for l in lines[1:]]
+
+
+def test_transfer_cells_are_plain_numbers(tmp_path, capsys):
+    out = tmp_path / "transfer.csv"
+    assert main(["transfer", "--thickness-um", "10", "--output", str(out)]) == 0
+    names, rows = _data_rows(out.read_text())
+    assert len(rows) == 4096 and all(len(r) == len(names) for r in rows)
+
+    assert main(["transfer", "--thickness-um", "10"]) == 0
+    assert not sys.stdout.closed
+    assert _data_rows(capsys.readouterr().out) == (names, rows)
+
+
+def test_ftsi_jump_location_is_a_plain_number(tmp_path, capsys):
+    src = tmp_path / "pulse.csv"
+    main(["pulse", "synth", "--output", str(src)])
+    gram = tmp_path / "gram.csv"
+    main(["ftsi", "synth", "--signal", str(src), "--shaped", str(src), "--output", str(gram)])
+    phase = tmp_path / "phase.csv"
+    main(["ftsi", "retrieve", "--input", str(gram), "--output", str(phase)])
+    capsys.readouterr()
+    assert main(["ftsi", "jump", "--input", str(phase)]) == 0
+    location = float(_parse_kv(capsys.readouterr().out)["jump_location_rad_per_s"])
+    assert location == pytest.approx(2 * np.pi * 374.7e12, rel=0.1)
+
+
+def test_seed_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("seed: 0\n")
+    assert main(["design", "delay", "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err

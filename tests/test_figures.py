@@ -77,3 +77,10 @@ def test_load_config_yaml(tmp_path):
     assert loaded.carrier_nm == 1030
     assert loaded.fwhm_thz == 60.0
     assert loaded.material == "quartz"  # None override leaves the default
+
+
+@pytest.mark.parametrize("key", ["thickness_um", "carrier_nm", "fwhm_thz", "tau_ftsi_fs",
+                                 "window_width_fs"])
+def test_validate_config_rejects_nan(tmp_path, key):
+    with pytest.raises(ConfigError, match=key.split("_")[0]):
+        validate_config(RunConfig(outdir=str(tmp_path), **{key: float("nan")}))

@@ -1,10 +1,14 @@
-"""The CSV table layer: byte-level pins of the figure outputs."""
+"""The CSV table layer: exact round trips and byte-level pins of the figure outputs."""
 
 import hashlib
 import os
 
+import numpy as np
+import pytest
+
 from bsbshaper import figures
 from bsbshaper.config import RunConfig
+from bsbshaper.io import meta_line, read_table, write_table
 
 # sha256 of the non-comment lines of every default-config figure output (n = 4096)
 FIGURE_DATA_SHA256 = {
@@ -42,3 +46,36 @@ def test_figure_data_lines_pinned(tmp_path):
         for path in figures.run_figure_pipeline(config, fig):
             written[os.path.basename(path)] = _data_sha256(path)
     assert written == FIGURE_DATA_SHA256
+
+
+def test_table_roundtrip_is_exact(tmp_path):
+    path = tmp_path / "table.csv"
+    x = np.array([0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-17])
+    flags = np.array([True, False, False, True, True, False])
+    counts = np.arange(6, dtype=np.int32)
+    header = [meta_line("omega0", np.float64(2.35e15)), meta_line("grid", 6, 0.5, 0.25),
+              "# provenance: free text\n"]
+    write_table(path, header, ["x", "flag", "count"], [x, flags, counts])
+    assert path.read_text().splitlines()[3:5] == ["x,flag,count", "0.1,1,0"]
+    meta, data = read_table(path, ("omega0", "grid"))
+    assert meta == {"omega0": "2350000000000000.0", "grid": "6 0.5 0.25"}
+    assert np.array_equal(data["x"], x)
+    assert np.signbit(data["x"][2])
+    assert np.array_equal(data["flag"].astype(bool), flags)
+    assert np.array_equal(data["count"], counts)
+
+
+def test_table_missing_metadata(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# grid=4 1.0 1.0\nx\n1.0\n")
+    with pytest.raises(ValueError, match="metadata"):
+        read_table(path, ("grid", "omega0"))
+
+
+@pytest.mark.parametrize("body", ["1.0,2.0\n3.0\n", "1.0,2.0\n3.0,4.0,5.0\n",
+                                  "1.0,abc\n"])
+def test_table_malformed_row(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(ValueError, match="malformed row"):
+        read_table(path)

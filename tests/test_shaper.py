@@ -19,6 +19,11 @@ def test_thickness_bound(quartz):
         Compensator(quartz, 0.02)
 
 
+def test_nan_thickness_rejected(quartz):
+    with pytest.raises(ValueError, match="exceeds"):
+        Compensator(quartz, float("nan"))
+
+
 def test_transfer_is_unitary(quartz, grid):
     pair = transfer_exact(_comp(quartz, 45.0), grid)
     total = np.abs(pair.h_x) ** 2 + np.abs(pair.h_y) ** 2
