@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from bsbshaper import dispersion, metrology
-from bsbshaper.config import RunConfig, config_header
-from bsbshaper.pulsefield import gaussian_pulse
+from bsbshaper.config import config_header, load_config
+from bsbshaper.io import write_table
 from bsbshaper.shaper import Compensator
 
 
@@ -30,22 +30,19 @@ def main():
     ap.add_argument("--output", default="sweep.csv")
     args = ap.parse_args()
 
-    config = RunConfig(material=args.material, mode=args.mode)
-    material = dispersion.get_material(args.material)
-    pulse = gaussian_pulse(config.grid(), config.omega0,
-                           2 * np.pi * config.fwhm_thz * 1e12)
+    config = load_config(None, {"material": args.material, "mode": args.mode})
+    material = dispersion.get_material(config.material)
+    pulse = config.pulse()
 
     lengths = np.geomspace(args.lmin_um, args.lmax_um, args.points) * 1e-6
-    with open(args.output, "w") as fh:
-        fh.write(config_header(config))
-        fh.write("thickness_um,delay_fs,order,overlap,efficiency\n")
-        for length in lengths:
-            comp = Compensator(material, float(length))
-            report = metrology.score_compensator(comp, pulse, args.mode)
-            delay = dispersion.delta_k_prime(material, config.omega0) * length
-            order = dispersion.delta_k(material, config.omega0) * length / (2 * np.pi)
-            fh.write(f"{length * 1e6:.6f},{delay * 1e15:.6f},{order:.6f},"
-                     f"{report.overlap:.10f},{report.efficiency:.6e}\n")
+    reports = [metrology.score_compensator(Compensator(material, float(length)), pulse,
+                                           config.mode) for length in lengths]
+    write_table(args.output, [config_header(config)],
+                ["thickness_um", "delay_fs", "order", "overlap", "efficiency"],
+                [lengths * 1e6,
+                 dispersion.delta_k_prime(material, config.omega0) * lengths * 1e15,
+                 dispersion.delta_k(material, config.omega0) * lengths / (2 * np.pi),
+                 [r.overlap for r in reports], [r.efficiency for r in reports]])
     print(args.output)
     return 0
 

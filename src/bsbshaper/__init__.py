@@ -4,15 +4,15 @@ from .dispersion import (Material, SellmeierModel, delta_k, delta_k_prime,
                          delta_n, delta_n_group, get_material, group_index,
                          load_materials, omega1, refractive_index)
 from .ftsi import (FtsiWindow, Interferogram, JumpReport, RetrievedPhase,
-                   detect_phase_jump, retrieve_phase, subtract_reference,
-                   synthesize_interferogram, unwrap, wrap_to_principal)
+                   detect_phase_jump, relative_phase, retrieve_phase,
+                   subtract_reference, synthesize_interferogram, unwrap,
+                   wrap_to_principal)
 from .metrology import (DesignSolution, OverlapReport, achromat_design,
                         band_from_field, efficiency, mode_overlap,
                         score_compensator, stack_overlap, thickness_for_delay,
                         thickness_for_order)
 from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, apply_transfer,
-                         default_grid, derivative_envelope_oracle,
-                         derivative_field_oracle, gaussian_pulse,
+                         default_grid, derivative_field_oracle, gaussian_pulse,
                          read_field_csv, replica_difference, to_frequency,
                          to_time, write_field_csv)
 from .shaper import (Compensator, TransferFunction, TransferPair,

@@ -17,13 +17,12 @@ from .config import RunConfig, config_header, load_config
 from .errors import (BsbShaperError, ConfigError, DegenerateMaterialError,
                      EmptyMaskError, SidebandOverlapError)
 from .io import write_table
-from .pulsefield import (apply_transfer, derivative_envelope_oracle,
-                         derivative_field_oracle, gaussian_pulse, read_field_csv,
-                         replica_difference, write_field_csv)
+from .pulsefield import apply_transfer, read_field_csv, replica_difference, write_field_csv
 from .shaper import Compensator
 
 VALIDATION_EXIT = 1
 DEGENERACY_EXIT = 2
+_OBJECTIVE_MODES = {"field": "field", "envelope": "envelope-half"}  # overlap --objective
 
 
 def _add_config_flags(p):
@@ -71,10 +70,9 @@ def _cmd_material_info(args):
     return 0
 
 
-def _print_design(solution, config: RunConfig, mode: str):
-    pulse = gaussian_pulse(config.grid(), config.omega0,
-                           2 * np.pi * config.fwhm_thz * 1e12)
-    overlap = metrology.stack_overlap(solution, pulse, mode)
+def _print_design(solution, config: RunConfig):
+    pulse = config.pulse()
+    overlap = metrology.stack_overlap(solution, pulse, config.mode)
     for material, length in solution.segments:
         print(f"segment: {material.name} thickness_um={length * 1e6:.6f}")
     print(f"achieved_delay_fs: {solution.achieved_delay * 1e15:.6f}")
@@ -84,7 +82,7 @@ def _print_design(solution, config: RunConfig, mode: str):
     if len(solution.segments) == 1:
         material, length = solution.segments[0]
         comp = Compensator(material, length)
-        print(f"efficiency: {metrology.efficiency(comp, pulse, mode):.6e}")
+        print(f"efficiency: {metrology.efficiency(comp, pulse, config.mode):.6e}")
     for key, value in solution.residuals.items():
         print(f"residual.{key}: {value!r}")
 
@@ -101,7 +99,7 @@ def _cmd_design(args):
         solution = metrology.achromat_design(material,
                                              dispersion.get_material(config.material_b),
                                              config.omega0, target_w1, args.tau_fs * 1e-15)
-    _print_design(solution, config, config.mode)
+    _print_design(solution, config)
     return 0
 
 
@@ -123,15 +121,11 @@ def _cmd_transfer(args):
 def _cmd_pulse(args):
     config = _config_from(args)
     if args.action == "synth":
-        field = gaussian_pulse(config.grid(), config.omega0,
-                               2 * np.pi * config.fwhm_thz * 1e12)
+        field = config.pulse()
     elif args.action == "derive":
         field = read_field_csv(args.input)
-        t_const = args.t_const_fs * 1e-15
-        if config.mode == "field":
-            field = derivative_field_oracle(field, t_const)
-        else:
-            field = derivative_envelope_oracle(field, t_const)
+        field = apply_transfer(field, shaper.objective(field.grid, config.mode,
+                                                       args.t_const_fs * 1e-15, field.omega0))
     else:  # replica
         field = replica_difference(read_field_csv(args.input), args.tau_fs * 1e-15)
     write_field_csv(field, args.output)
@@ -151,17 +145,13 @@ def _cmd_ftsi(args):
         ftsi.write_interferogram_csv(gram, args.output)
     elif args.action == "retrieve":
         gram = ftsi.read_interferogram_csv(args.input)
-        window = ftsi.FtsiWindow(
-            width=config.window_width_fs * 1e-15 if config.window_width_fs else None,
-            order=config.window_order)
-        rp = ftsi.retrieve_phase(gram, window)
+        rp = ftsi.retrieve_phase(gram, config.window())
         if not args.no_unwrap:
             rp = ftsi.unwrap(rp)
         ftsi.write_phase_csv(rp, args.output)
     elif args.action == "subtract":
-        diff = ftsi.subtract_reference(ftsi.read_phase_csv(args.with_device),
-                                       ftsi.read_phase_csv(args.without_device))
-        diff = ftsi.unwrap(ftsi.wrap_to_principal(diff))
+        diff = ftsi.relative_phase(ftsi.read_phase_csv(args.with_device),
+                                   ftsi.read_phase_csv(args.without_device))
         ftsi.write_phase_csv(diff, args.output)
     else:  # jump
         rp = ftsi.read_phase_csv(args.input)
@@ -176,10 +166,8 @@ def _cmd_overlap(args):
     shaped = read_field_csv(args.shaped)
     source = read_field_csv(args.source)
     t_const = 1e-15  # overlap is scale invariant; any positive constant works
-    if args.objective == "field":
-        objective = derivative_field_oracle(source, t_const)
-    else:
-        objective = derivative_envelope_oracle(source, t_const)
+    objective = apply_transfer(source, shaper.objective(
+        source.grid, _OBJECTIVE_MODES[args.objective], t_const, source.omega0))
     band = metrology.band_from_field(source)
     overlap = metrology.mode_overlap(shaped, objective, band)
     print(f"overlap: {overlap:.8f}")
@@ -241,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ftsi)
 
     p = sub.add_parser("overlap", help="score a shaped field against an objective mode")
-    p.add_argument("--objective", choices=("field", "envelope"), required=True)
+    p.add_argument("--objective", choices=tuple(_OBJECTIVE_MODES), required=True)
     p.add_argument("--shaped", required=True, help="field CSV of the shaped mode")
     p.add_argument("--source", required=True, help="field CSV of the source pulse")
     p.set_defaults(func=_cmd_overlap)

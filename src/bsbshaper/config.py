@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -10,7 +9,8 @@ import yaml
 
 from . import dispersion, shaper
 from .errors import ConfigError
-from .pulsefield import SpectralGrid
+from .ftsi import FtsiWindow
+from .pulsefield import SpectralField, SpectralGrid, gaussian_pulse
 
 MODES = shaper.MODES
 
@@ -39,6 +39,15 @@ class RunConfig:
     def grid(self) -> SpectralGrid:
         step = 2 * np.pi * (self.nu_end_thz - self.nu_start_thz) * 1e12 / self.n_samples
         return SpectralGrid(self.n_samples, 2 * np.pi * self.nu_start_thz * 1e12, step)
+
+    def pulse(self) -> SpectralField:
+        """The run's test pulse: a flat-phase Gaussian at the carrier on the run's grid."""
+        return gaussian_pulse(self.grid(), self.omega0, 2 * np.pi * self.fwhm_thz * 1e12)
+
+    def window(self) -> FtsiWindow:
+        """The run's FTSI pseudo-time window."""
+        return FtsiWindow(width=self.window_width_fs * 1e-15 if self.window_width_fs else None,
+                          order=self.window_order)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -97,8 +106,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         problems.append("window_order must be an even integer >= 2")
     if config.window_width_fs is not None and not config.window_width_fs > 0:
         problems.append("window_width_fs must be positive")
-    if not os.path.isdir(config.outdir) or not os.access(config.outdir, os.W_OK):
-        problems.append(f"outdir {config.outdir!r} is not a writable directory")
+    if not abs(config.extra_phase_gdd_fs2) < float("inf"):
+        problems.append("extra_phase_gdd_fs2 must be finite")
     if problems:
         raise ConfigError("; ".join(problems))
     return config

@@ -8,25 +8,25 @@ normalized configuration, and identical configs produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 
 from . import dispersion, ftsi, metrology, shaper
 from .config import RunConfig, config_header, validate_config
+from .errors import ConfigError
 from .io import meta_line, write_table
-from .pulsefield import apply_transfer, gaussian_pulse
+from .pulsefield import apply_transfer
 from .shaper import Compensator
 
-FIGURES = ("fig2", "fig3", "fig4", "fig5")
 
-
-def _canonical_compensator(config: RunConfig, mode: str) -> Compensator:
+def _canonical_compensator(config: RunConfig) -> Compensator:
     """Thickness from config, or the mode's canonical design (0.17 fs / order 1/2)."""
     material = dispersion.get_material(config.material)
     if config.thickness_um is not None:
         return Compensator(material, config.thickness_um * 1e-6)
-    if mode == "field":
+    if config.mode == "field":
         sol = metrology.thickness_for_delay(material, config.omega0, 0.17e-15)
     else:
         sol = metrology.thickness_for_order(material, config.omega0, 0.5)
@@ -36,19 +36,24 @@ def _canonical_compensator(config: RunConfig, mode: str) -> Compensator:
 _write_csv = write_table  # the one name every figure table is written through
 
 
-def _ratio_pipeline(config: RunConfig, mode: str, tag: str, outdir):
-    grid = config.grid()
-    pulse = gaussian_pulse(grid, config.omega0, 2 * np.pi * config.fwhm_thz * 1e12)
-    comp = _canonical_compensator(config, mode)
-    pair = shaper.transfer_exact(comp, grid)
+def _setup(config: RunConfig):
+    """(pulse, compensator, transfer pair, header lines) of a figure run."""
+    comp = _canonical_compensator(config)
+    pulse = config.pulse()
+    head = [config_header(config), f"# compensator: {comp.material.name} "
+            f"{comp.thickness * 1e6!r} um, mode {config.mode}\n"]
+    return pulse, comp, shaper.transfer_exact(comp, pulse.grid), head
+
+
+def _ratio_pipeline(config: RunConfig, tag: str, outdir):
+    pulse, comp, pair, head = _setup(config)
+    grid, mode = pulse.grid, config.mode
     resp = shaper.effective_response(pair, mode)
     first = shaper.first_order_response(comp, grid, mode, config.omega0)
     t_const = abs(dispersion.delta_k_prime(comp.material, config.omega0) * comp.thickness / 2)
     objective = shaper.objective(grid, mode, t_const, config.omega0)
     unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
-    head = [config_header(config), f"# compensator: {comp.material.name} "
-            f"{comp.thickness * 1e6!r} um, mode {mode}\n"]
 
     spectra = os.path.join(outdir, f"{tag}_spectra.csv")
     _write_csv(spectra, head, ["omega_rad_per_s", "unshaped_intensity", "shaped_intensity"],
@@ -63,13 +68,10 @@ def _ratio_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     return [spectra, ratio]
 
 
-def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
-    grid = config.grid()
-    omega0 = config.omega0
-    pulse = gaussian_pulse(grid, omega0, 2 * np.pi * config.fwhm_thz * 1e12)
-    comp = _canonical_compensator(config, mode)
-    pair = shaper.transfer_exact(comp, grid)
-    signal, shaped = shaper.channels(pair, mode)
+def _phase_pipeline(config: RunConfig, tag: str, outdir):
+    pulse, comp, pair, head = _setup(config)
+    grid, omega0 = pulse.grid, config.omega0
+    signal, shaped = shaper.channels(pair, config.mode)
     common = np.exp(1j * pair.common_phase)
     arm_signal = apply_transfer(pulse, signal * common)
     arm_shaped = apply_transfer(pulse, -shaped * common)
@@ -80,17 +82,10 @@ def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     gram_with = ftsi.synthesize_interferogram(arm_signal, arm_shaped, tau, extra)
     gram_ref = ftsi.synthesize_interferogram(pulse, pulse, tau, extra)
 
-    window = ftsi.FtsiWindow(
-        width=config.window_width_fs * 1e-15 if config.window_width_fs else None,
-        order=config.window_order)
-    # subtract the wrapped retrievals first: unwrapping the raw ramped phase
-    # would smooth a genuine pi jump riding on the fringe ramp away
-    retrieved = ftsi.retrieve_phase(gram_with, window)
-    reference = ftsi.retrieve_phase(gram_ref, window)
-    diff = ftsi.unwrap(ftsi.wrap_to_principal(ftsi.subtract_reference(retrieved, reference)))
+    window = config.window()
+    diff = ftsi.relative_phase(ftsi.retrieve_phase(gram_with, window),
+                               ftsi.retrieve_phase(gram_ref, window))
 
-    head = [config_header(config), f"# compensator: {comp.material.name} "
-            f"{comp.thickness * 1e6!r} um, mode {mode}\n"]
     paths = []
     for name, gram in [("interferogram_with_bsb", gram_with),
                        ("interferogram_without_bsb", gram_ref)]:
@@ -104,7 +99,7 @@ def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
                [grid.omegas, diff.phase, diff.weight, diff.masked])
     paths.append(p)
 
-    if mode == "envelope-half":
+    if config.mode == "envelope-half":
         jump = ftsi.detect_phase_jump(diff, omega0)
         p = os.path.join(outdir, f"{tag}_jump_report.txt")
         with open(p, "w") as fh:
@@ -117,16 +112,22 @@ def _phase_pipeline(config: RunConfig, mode: str, tag: str, outdir):
     return paths
 
 
+_PIPELINES = {  # figure: (pipeline, the compensator mode it runs in)
+    "fig2": (_ratio_pipeline, "field"),
+    "fig3": (_phase_pipeline, "field"),
+    "fig4": (_ratio_pipeline, "envelope-half"),
+    "fig5": (_phase_pipeline, "envelope-half"),
+}
+FIGURES = tuple(_PIPELINES)
+
+
 def run_figure_pipeline(config: RunConfig, figure: str, outdir=None) -> list[str]:
-    """Emit the CSV set for one figure; returns the written paths."""
+    """Emit one figure's CSV set, in the mode the figure fixes; returns the written paths."""
     if figure not in FIGURES:
         raise ValueError(f"figure must be one of {FIGURES}, got {figure!r}")
     config = validate_config(config)
     outdir = outdir or config.outdir
-    if figure == "fig2":
-        return _ratio_pipeline(config, "field", "fig2", outdir)
-    if figure == "fig3":
-        return _phase_pipeline(config, "field", "fig3", outdir)
-    if figure == "fig4":
-        return _ratio_pipeline(config, "envelope-half", "fig4", outdir)
-    return _phase_pipeline(config, "envelope-half", "fig5", outdir)
+    if not os.path.isdir(outdir) or not os.access(outdir, os.W_OK):
+        raise ConfigError(f"outdir {outdir!r} is not a writable directory")
+    pipeline, mode = _PIPELINES[figure]
+    return pipeline(dataclasses.replace(config, mode=mode), figure, outdir)

@@ -148,22 +148,13 @@ def unwrap(rp: RetrievedPhase) -> RetrievedPhase:
     masked gap survives unwrapping.
     """
     phase = rp.phase.copy()
-    valid = ~rp.masked
-    n = len(phase)
-    i = 0
-    while i < n:
-        if not valid[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and valid[j]:
-            j += 1
-        seg = slice(i, j)
-        unwrapped = np.unwrap(rp.phase[seg])
-        anchor = np.argmax(rp.weight[seg])
-        unwrapped += 2 * np.pi * np.round((rp.phase[seg][anchor] - unwrapped[anchor]) / (2 * np.pi))
-        phase[seg] = unwrapped
-        i = j
+    edges = np.diff(np.concatenate(([0], ~rp.masked, [0])).astype(np.int8))
+    bounds = np.flatnonzero(edges)  # alternating segment starts and ends
+    for i, j in zip(bounds[::2], bounds[1::2]):
+        unwrapped = np.unwrap(rp.phase[i:j])
+        anchor = np.argmax(rp.weight[i:j])
+        unwrapped += 2 * np.pi * np.round((rp.phase[i + anchor] - unwrapped[anchor]) / (2 * np.pi))
+        phase[i:j] = unwrapped
     return RetrievedPhase(rp.grid, phase, rp.weight, rp.masked)
 
 
@@ -183,6 +174,15 @@ def subtract_reference(with_device: RetrievedPhase, without_device: RetrievedPha
     phase = with_device.phase - without_device.phase
     weight = np.minimum(with_device.weight, without_device.weight)
     return RetrievedPhase(with_device.grid, np.where(masked, 0.0, phase), weight, masked)
+
+
+def relative_phase(with_device: RetrievedPhase, without_device: RetrievedPhase) -> RetrievedPhase:
+    """The device's phase: reference subtracted, wrapped to (-pi, pi], then unwrapped.
+
+    Subtracting first matters: unwrapping the raw retrievals, which ride on the
+    steep omega*tau fringe ramp, would smooth a genuine pi jump of the device away.
+    """
+    return unwrap(wrap_to_principal(subtract_reference(with_device, without_device)))
 
 
 def detect_phase_jump(rp: RetrievedPhase, omega0: float,

@@ -160,13 +160,6 @@ def derivative_field_oracle(field: SpectralField, t_const: float) -> SpectralFie
     return SpectralField(field.grid, -1j * w * t_const * field.amplitude, field.omega0)
 
 
-def derivative_envelope_oracle(field: SpectralField, t_const: float) -> SpectralField:
-    """Exact envelope-derivative objective: multiply by -i (omega - omega0) T2."""
-    w = field.grid.omegas
-    return SpectralField(field.grid, -1j * (w - field.omega0) * t_const * field.amplitude,
-                         field.omega0)
-
-
 def replica_difference(field: SpectralField, tau: float) -> SpectralField:
     """Balanced interferometric difference of two replicas delayed by +-tau/2.
 

@@ -73,25 +73,17 @@ class TransferFunction:
         object.__setattr__(self, "values", v)
 
 
-def birefringent_phase_half(segments, grid: SpectralGrid) -> np.ndarray:
-    """sum_i delta_k_i(omega) L_i / 2 over (material, signed thickness) segments."""
-    w = grid.omegas
-    psi_half = np.zeros(grid.n_samples)
-    for material, thickness in segments:
-        psi_half += dispersion.delta_k(material, w) * thickness / 2
-    return psi_half
-
-
 def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
-    """Exact cos/sin response of a stack of birefringent segments."""
+    """Exact cos/sin response of a stack of birefringent segments, one index array per axis."""
     w = grid.omegas
-    psi_half = birefringent_phase_half(segments, grid)
+    wl = 2 * np.pi * C_LIGHT / w * 1e6
+    psi_half = np.zeros(grid.n_samples)
     phi = np.zeros(grid.n_samples)
     for material, thickness in segments:
-        wl = 2 * np.pi * C_LIGHT / w * 1e6
-        k_sum = (dispersion.refractive_index(material.extraordinary, wl)
-                 + dispersion.refractive_index(material.ordinary, wl)) * w / C_LIGHT
-        phi += k_sum * abs(thickness) / 2
+        n_e = dispersion.refractive_index(material.extraordinary, wl)
+        n_o = dispersion.refractive_index(material.ordinary, wl)
+        psi_half += (n_e - n_o) * w / C_LIGHT * thickness / 2
+        phi += (n_e + n_o) * w / C_LIGHT * abs(thickness) / 2
     return TransferPair(grid, np.cos(psi_half).astype(complex),
                         1j * np.sin(psi_half), phi)
 

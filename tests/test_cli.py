@@ -173,3 +173,33 @@ def test_seed_is_not_a_config_key(tmp_path, capsys):
     cfg.write_text("seed: 0\n")
     assert main(["design", "delay", "--config", str(cfg)]) == 1
     assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+
+def test_outdir_is_checked_only_where_written(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["design", "delay", "--outdir", missing]) == 0
+    assert main(["figure", "fig2", "--outdir", missing]) == 1
+    assert "not a writable directory" in capsys.readouterr().err
+
+
+def test_pulse_derive_envelope_is_the_objective(tmp_path, capsys):
+    src = tmp_path / "pulse.csv"
+    main(["pulse", "synth", "--output", str(src)])
+    der = tmp_path / "derived.csv"
+    assert main(["pulse", "derive", "--mode", "envelope-half", "--input", str(src),
+                 "--output", str(der), "--t-const-fs", "0.085"]) == 0
+    source = read_field_csv(src)
+    expected = -1j * (source.grid.omegas - source.omega0) * (0.085 * 1e-15) * source.amplitude
+    assert np.array_equal(read_field_csv(der).amplitude, expected)
+
+    assert main(["overlap", "--objective", "envelope", "--shaped", str(der),
+                 "--source", str(src)]) == 0
+    assert "overlap: 1.00000000" in capsys.readouterr().out
+
+
+def test_pulse_derive_field_rejects_nonpositive_constant(tmp_path, capsys):
+    src = tmp_path / "pulse.csv"
+    main(["pulse", "synth", "--output", str(src)])
+    assert main(["pulse", "derive", "--input", str(src), "--output", str(tmp_path / "d.csv"),
+                 "--t-const-fs", "0"]) == 1
+    assert "t1 must be positive" in capsys.readouterr().err

@@ -80,7 +80,22 @@ def test_load_config_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["thickness_um", "carrier_nm", "fwhm_thz", "tau_ftsi_fs",
-                                 "window_width_fs"])
+                                 "window_width_fs", "extra_phase_gdd_fs2"])
 def test_validate_config_rejects_nan(tmp_path, key):
     with pytest.raises(ConfigError, match=key.split("_")[0]):
         validate_config(RunConfig(outdir=str(tmp_path), **{key: float("nan")}))
+
+
+@pytest.mark.parametrize("figure,asked,ran", [("fig4", "field", "envelope-half"),
+                                              ("fig2", "envelope-half", "field")])
+def test_figure_headers_record_the_mode_that_ran(tmp_path, figure, asked, ran):
+    config = RunConfig(outdir=str(tmp_path), mode=asked)
+    for path in figures.run_figure_pipeline(config, figure):
+        header = [line for line in open(path) if line.startswith("# config.mode=")]
+        assert header == [f"# config.mode={ran!r}\n"]
+
+
+def test_explicit_outdir_must_be_writable(tmp_path):
+    with pytest.raises(ConfigError, match="outdir"):
+        figures.run_figure_pipeline(RunConfig(outdir=str(tmp_path)), "fig2",
+                                    outdir=str(tmp_path / "missing"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsbshaper import ftsi
 from bsbshaper.errors import (EmptyMaskError, GridMismatchError,
@@ -9,7 +11,7 @@ from bsbshaper.ftsi import (FtsiWindow, Interferogram, RetrievedPhase,
                             read_phase_csv, retrieve_phase, subtract_reference,
                             synthesize_interferogram, unwrap, wrap_to_principal,
                             write_interferogram_csv, write_phase_csv)
-from bsbshaper.pulsefield import SpectralField, apply_transfer
+from bsbshaper.pulsefield import SpectralField, SpectralGrid, apply_transfer
 
 TAU = 1e-12
 
@@ -108,6 +110,42 @@ def test_unwrap_restarts_across_masked_gaps(grid):
     rp = RetrievedPhase(grid, phase, np.ones(n), masked)
     out = unwrap(rp)
     assert out.phase[-1] - out.phase[0] == pytest.approx(np.pi - 0.05)
+
+
+def _unwrap_reference(rp):
+    """Plain per-sample scan: unwrap each unmasked run, anchored at its weight maximum."""
+    phase = rp.phase.copy()
+    n, i = len(phase), 0
+    while i < n:
+        if rp.masked[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and not rp.masked[j]:
+            j += 1
+        seg = rp.phase[i:j]
+        unwrapped = np.unwrap(seg)
+        anchor = np.argmax(rp.weight[i:j])
+        unwrapped += 2 * np.pi * np.round((seg[anchor] - unwrapped[anchor]) / (2 * np.pi))
+        phase[i:j] = unwrapped
+        i = j
+    return phase
+
+
+N_UNWRAP = 16
+_samples = st.tuples(st.booleans(), st.floats(-20, 20), st.floats(0, 1))  # masked, phase, weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_samples, min_size=N_UNWRAP, max_size=N_UNWRAP))
+@example([(True, 1.0, 0.5)] * N_UNWRAP)  # fully masked
+@example([(False, 3.0, 0.5)] * N_UNWRAP)  # one segment over the whole grid
+@example([(k % 2 == 0, 3.0 * k, 0.1 * (k % 7)) for k in range(N_UNWRAP)])  # starts masked
+@example([(k % 2 == 1, -3.0 * k, 0.5) for k in range(N_UNWRAP)])  # ends masked
+def test_unwrap_matches_per_segment_reference(samples):
+    masked, phase, weight = (np.array(col) for col in zip(*samples))
+    rp = RetrievedPhase(SpectralGrid(N_UNWRAP, 1e15, 1e12), phase, weight, masked)
+    assert np.array_equal(unwrap(rp).phase, _unwrap_reference(rp))
 
 
 def test_subtract_reference_requires_overlap(grid):
