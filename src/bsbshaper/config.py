@@ -49,6 +49,10 @@ class RunConfig:
         return FtsiWindow(width=self.window_width_fs * 1e-15 if self.window_width_fs else None,
                           order=self.window_order)
 
+    def extra_phase(self, field: SpectralField) -> np.ndarray:
+        """The run's delay-crystal dispersion phase, 0.5 GDD (omega - omega0)^2, on the field."""
+        return 0.5 * self.extra_phase_gdd_fs2 * 1e-30 * (field.grid.omegas - field.omega0) ** 2
+
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -42,8 +42,8 @@ class SellmeierModel:
     def check_range(self, wl_um):
         lo, hi = self.valid_range_um
         wl = np.asarray(wl_um)
-        if np.any(wl < lo) or np.any(wl > hi):
-            bad = wl[(wl < lo) | (wl > hi)]
+        if not (np.all(wl >= lo) and np.all(wl <= hi)):  # written so that NaN fails it
+            bad = wl[~((wl >= lo) & (wl <= hi))]
             raise WavelengthRangeError(
                 f"wavelength {np.min(bad):.4g}-{np.max(bad):.4g} um outside "
                 f"[{lo}, {hi}] um validity of model {self.label!r}"

@@ -77,8 +77,7 @@ def _phase_pipeline(config: RunConfig, tag: str, outdir):
     arm_shaped = apply_transfer(pulse, -shaped * common)
 
     tau = config.tau_ftsi_fs * 1e-15
-    gdd = config.extra_phase_gdd_fs2 * 1e-30
-    extra = 0.5 * gdd * (grid.omegas - omega0) ** 2
+    extra = config.extra_phase(pulse)
     gram_with = ftsi.synthesize_interferogram(arm_signal, arm_shaped, tau, extra)
     gram_ref = ftsi.synthesize_interferogram(pulse, pulse, tau, extra)
 

@@ -125,6 +125,8 @@ def _solution_for_length(material: Material, omega0: float, length: float) -> De
 
 def thickness_for_delay(material: Material, omega0: float, tau: float) -> DesignSolution:
     """Thickness giving group-delay difference tau: L = tau / delta_k'(omega0)."""
+    if not np.isfinite(tau):
+        raise ValueError("tau must be finite")
     dkp = float(dispersion.delta_k_prime(material, omega0))
     if dkp == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no group-index contrast")
@@ -133,7 +135,7 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
 
 def thickness_for_order(material: Material, omega0: float, order: float) -> DesignSolution:
     """Thickness with delta_k(omega0) L / 2 = order * pi (half-integer orders allowed)."""
-    if order < 0:
+    if not order >= 0:
         raise ValueError("order must be >= 0")
     dk = _delta_k_checked(material, omega0)
     return _solution_for_length(material, omega0, 2 * order * np.pi / dk)
@@ -147,6 +149,8 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
     target_omega1) tau for the signed thicknesses; negative thickness means
     crossed axes.
     """
+    if not np.isfinite(target_tau):
+        raise ValueError("target_tau must be finite")
     dkp = np.array([float(dispersion.delta_k_prime(m, omega0)) for m in (mat_a, mat_b)])
     # second row scaled by 1/omega0 so both rows share units before conditioning
     dk = np.array([float(dispersion.delta_k(m, omega0)) for m in (mat_a, mat_b)])

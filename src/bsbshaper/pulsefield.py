@@ -166,7 +166,7 @@ def replica_difference(field: SpectralField, tau: float) -> SpectralField:
     (1/2)E(t+tau/2) - (1/2)E(t-tau/2); spectral factor -i sin(omega tau/2)
     under the global convention, which tends to -i omega tau/2 for small tau.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     w = field.grid.omegas
     return SpectralField(field.grid, -1j * np.sin(w * tau / 2) * field.amplitude, field.omega0)

@@ -125,7 +125,7 @@ def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
 
 def objective_r1(grid: SpectralGrid, t1: float) -> TransferFunction:
     """Field time-derivative objective -i omega T1."""
-    if t1 <= 0:
+    if not t1 > 0:
         raise ValueError("t1 must be positive")
     return TransferFunction(grid, -1j * grid.omegas * t1, label="objective-field")
 

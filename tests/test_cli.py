@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from bsbshaper.cli import main
+from bsbshaper import ftsi, shaper
+from bsbshaper.cli import build_parser, main
+from bsbshaper.config import RunConfig
 from bsbshaper.pulsefield import read_field_csv
 
 
@@ -83,7 +87,7 @@ def test_ftsi_workflow(tmp_path, capsys):
     main(["pulse", "synth", "--output", str(src)])
     gram = tmp_path / "gram.csv"
     assert main(["ftsi", "synth", "--signal", str(src), "--shaped", str(src),
-                 "--gdd-fs2", "100", "--output", str(gram)]) == 0
+                 "--extra-phase-gdd-fs2", "100", "--output", str(gram)]) == 0
     phase = tmp_path / "phase.csv"
     assert main(["ftsi", "retrieve", "--input", str(gram), "--no-unwrap",
                  "--output", str(phase)]) == 0
@@ -177,7 +181,7 @@ def test_seed_is_not_a_config_key(tmp_path, capsys):
 
 def test_outdir_is_checked_only_where_written(tmp_path, capsys):
     missing = str(tmp_path / "missing")
-    assert main(["design", "delay", "--outdir", missing]) == 0
+    assert main(["design", "delay", "--outdir", missing]) == 1
     assert main(["figure", "fig2", "--outdir", missing]) == 1
     assert "not a writable directory" in capsys.readouterr().err
 
@@ -203,3 +207,139 @@ def test_pulse_derive_field_rejects_nonpositive_constant(tmp_path, capsys):
     assert main(["pulse", "derive", "--input", str(src), "--output", str(tmp_path / "d.csv"),
                  "--t-const-fs", "0"]) == 1
     assert "t1 must be positive" in capsys.readouterr().err
+
+
+_FIELDS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_GRID = {"n_samples", "nu_start_thz", "nu_end_thz"}
+_DESIGN = _GRID | {"carrier_nm", "fwhm_thz", "material", "mode"}
+_CONFIG_FLAGS = {  # action: the RunConfig fields its handler reads
+    ("material-info",): set(),
+    ("design", "delay"): _DESIGN,
+    ("design", "order"): _DESIGN,
+    ("design", "achromat"): _DESIGN | {"material_b"},
+    ("transfer",): _GRID | {"material", "thickness_um", "mode"},
+    ("pulse", "synth"): _GRID | {"carrier_nm", "fwhm_thz"},
+    ("pulse", "derive"): {"mode"},
+    ("pulse", "replica"): set(),
+    ("ftsi", "synth"): {"tau_ftsi_fs", "extra_phase_gdd_fs2"},
+    ("ftsi", "retrieve"): {"window_order", "window_width_fs"},
+    ("ftsi", "subtract"): set(),
+    ("ftsi", "jump"): {"carrier_nm"},
+    ("overlap",): set(),
+    ("figure",): set(_FIELDS) - {"mode", "material_b"},
+}
+
+
+def _action_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _action_parsers(child, path + (name,))
+
+
+def test_each_action_takes_only_the_config_flags_it_reads():
+    actions = dict(_action_parsers(build_parser()))
+    assert set(actions) == set(_CONFIG_FLAGS)
+    for path, parser in actions.items():
+        flags = {a.dest: a for a in parser._actions if a.dest in _FIELDS}
+        assert set(flags) == _CONFIG_FLAGS[path], path
+        assert any("--config" in a.option_strings for a in parser._actions) == bool(flags), path
+        for dest, action in flags.items():
+            assert action.option_strings == ["--" + dest.replace("_", "-")]
+            if dest == "mode":
+                assert tuple(action.choices) == shaper.MODES
+            else:
+                default = _FIELDS[dest]
+                assert action.type is (float if default is None else type(default)), dest
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A pulse, an interferogram of it and its retrieved phase, written by the CLI."""
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("pulse", "gram", "phase")}
+    assert main(["pulse", "synth", "--output", paths["pulse"]]) == 0
+    assert main(["ftsi", "synth", "--signal", paths["pulse"], "--shaped", paths["pulse"],
+                 "--output", paths["gram"]]) == 0
+    assert main(["ftsi", "retrieve", "--input", paths["gram"], "--output", paths["phase"]]) == 0
+    return paths
+
+
+def _listing(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["pulse", "derive", "--output", "{out}"], "--input"),
+    (["ftsi", "synth", "--output", "{out}"], "--signal"),
+    (["ftsi", "subtract", "--output", "{out}"], "--with"),
+    (["ftsi", "retrieve", "--input", "{gram}"], "--output"),
+])
+def test_missing_file_flags_fail_before_running(tmp_path, files, capsys, argv, missing):
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    argv = [a.format(out=tmp_path / "x.csv", **files) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert missing in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "delay", "--outdir", "{tmp}"],
+    ["figure", "fig2", "--mode", "envelope-half", "--outdir", "{tmp}"],
+    ["pulse", "replica", "--input", "{pulse}", "--output", "{tmp}/r.csv", "--fwhm-thz", "50"],
+    ["ftsi", "subtract", "--with", "{phase}", "--without", "{phase}", "--output", "{tmp}/d.csv",
+     "--carrier-nm", "800"],
+])
+def test_flags_an_action_does_not_read_are_rejected(tmp_path, files, capsys, argv):
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, **files) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    assert main(["design", "delay", "--mode", "nope"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["design"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["ftsi", "synth", "--help"])
+    assert exc.value.code == 0
+    assert "--extra-phase-gdd-fs2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["material-info", "quartz", "--wavelength", "nan"],
+    ["design", "achromat", "--tau-fs", "nan", "--nu-start-thz", "185", "--nu-end-thz", "565"],
+    ["design", "order", "--order", "nan"],
+    ["design", "delay", "--tau-fs", "nan"],
+    ["pulse", "replica", "--input", "{pulse}", "--output", "{tmp}/r.csv", "--tau-fs", "nan"],
+    ["pulse", "derive", "--input", "{pulse}", "--output", "{tmp}/d.csv", "--t-const-fs", "nan"],
+])
+def test_nan_numbers_fail_at_the_boundary(tmp_path, files, capsys, argv):
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, **files) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert _listing(tmp_path) == before
+
+
+def test_extra_phase_gdd_is_the_one_gdd_knob(tmp_path, files):
+    signal = read_field_csv(files["pulse"])
+    tau = RunConfig().tau_ftsi_fs * 1e-15
+    default = ftsi.read_interferogram_csv(files["gram"])
+    expected = ftsi.synthesize_interferogram(signal, signal, tau, RunConfig().extra_phase(signal))
+    assert RunConfig().extra_phase_gdd_fs2 == 200.0
+    assert np.array_equal(default.intensity, expected.intensity)
+
+    flat = tmp_path / "flat.csv"
+    assert main(["ftsi", "synth", "--signal", files["pulse"], "--shaped", files["pulse"],
+                 "--extra-phase-gdd-fs2", "0", "--output", str(flat)]) == 0
+    plain = ftsi.synthesize_interferogram(signal, signal, tau)
+    assert np.array_equal(ftsi.read_interferogram_csv(flat).intensity, plain.intensity)
+    assert not np.array_equal(plain.intensity, expected.intensity)

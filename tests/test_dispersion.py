@@ -96,3 +96,9 @@ def test_kdp_indices_physical_over_validity_window(wl):
 def test_quartz_positive_uniaxial(wl):
     quartz = get_material("quartz")
     assert float(delta_n(quartz, 2 * np.pi * dispersion.C_LIGHT / (wl * 1e-6))) > 0
+
+
+@pytest.mark.parametrize("wl", [float("nan"), np.array([0.8, np.nan])])
+def test_nan_wavelength_rejected(quartz, wl):
+    with pytest.raises(WavelengthRangeError):
+        refractive_index(quartz.ordinary, wl)

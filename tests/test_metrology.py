@@ -120,3 +120,16 @@ def test_delay_design_rejects_isotropic(quartz):
     iso = Material("iso", quartz.ordinary, quartz.ordinary)
     with pytest.raises(DegenerateMaterialError):
         thickness_for_delay(iso, OMEGA0_800, 0.17e-15)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_design_solvers_reject_non_finite_targets(quartz, kdp, value):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        thickness_for_delay(quartz, OMEGA0_800, value)
+    with pytest.raises(ValueError, match="target_tau must be finite"):
+        achromat_design(quartz, kdp, OMEGA0_800, 0.0, value)
+
+
+def test_order_design_rejects_nan(quartz):
+    with pytest.raises(ValueError, match="order"):
+        thickness_for_order(quartz, OMEGA0_800, float("nan"))

@@ -121,3 +121,8 @@ def test_gaussian_energy_normalization_any_width(fwhm_hz):
     g = default_grid()
     p = gaussian_pulse(g, OMEGA0_800, 2 * np.pi * fwhm_hz)
     assert p.energy() == pytest.approx(1.0, rel=1e-10)
+
+
+def test_replica_difference_rejects_nan_delay(pulse100):
+    with pytest.raises(ValueError, match="tau"):
+        replica_difference(pulse100, float("nan"))

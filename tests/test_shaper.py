@@ -143,3 +143,8 @@ def test_unitarity_any_thickness(um):
     quartz = dispersion.get_material("quartz")
     pair = transfer_exact(Compensator(quartz, um * 1e-6), default_grid())
     assert np.max(np.abs(np.abs(pair.h_x) ** 2 + np.abs(pair.h_y) ** 2 - 1)) < 1e-12
+
+
+def test_field_objective_rejects_nan_constant(grid):
+    with pytest.raises(ValueError, match="t1 must be positive"):
+        objective_r1(grid, float("nan"))
