@@ -47,12 +47,13 @@ def _action(sub, name, func, config=(), files=(), **kw):
         p.add_argument("--" + field.replace("_", "-"), dest=field,
                        type=float if default is None else type(default),
                        choices=shaper.MODES if field == "mode" else None)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, config_fields=config)
     return p
 
 
 def _config_from(args) -> RunConfig:
-    return load_config(args.config, {f: getattr(args, f, None) for f in _FIELDS})
+    fields = args.config_fields
+    return load_config(args.config, {f: getattr(args, f) for f in fields}, fields)
 
 
 def _cmd_material_info(args):
@@ -168,12 +169,9 @@ def _cmd_ftsi_jump(args):
 
 
 def _cmd_overlap(args):
-    shaped, source = read_field_csv(args.shaped), read_field_csv(args.source)
-    t_const = 1e-15  # overlap is scale invariant; any positive constant works
-    objective = apply_transfer(source, shaper.objective(
-        source.grid, _OBJECTIVE_MODES[args.objective], t_const, source.omega0))
-    band = metrology.band_from_field(source)
-    overlap = metrology.mode_overlap(shaped, objective, band)
+    overlap, band = metrology.objective_overlap(read_field_csv(args.shaped),
+                                                read_field_csv(args.source),
+                                                _OBJECTIVE_MODES[args.objective])
     print(f"overlap: {overlap:.8f}")
     print(f"band_rad_per_s: {band[0]!r} {band[1]!r}")
 

@@ -12,8 +12,6 @@ from .errors import ConfigError
 from .ftsi import FtsiWindow
 from .pulsefield import SpectralField, SpectralGrid, gaussian_pulse
 
-MODES = shaper.MODES
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -57,8 +55,8 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config file (YAML key-value) plus overrides; overrides win."""
+def load_config(path=None, overrides: dict | None = None, reads=None) -> RunConfig:
+    """YAML config file plus overrides, which win; a key outside `reads` (None: all) is an error."""
     data = {}
     if path is not None:
         with open(path) as fh:
@@ -72,6 +70,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; known: {sorted(known)}")
+    unread = set(data) - set(known if reads is None else reads)
+    if unread:
+        raise ConfigError(f"config keys this action does not read: {sorted(unread)}")
     return validate_config(RunConfig(**data))
 
 
@@ -91,8 +92,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         dispersion.get_material(config.material_b)
     except KeyError as exc:
         problems.append(str(exc))
-    if config.mode not in MODES:
-        problems.append(f"mode must be one of {MODES}, got {config.mode!r}")
+    if config.mode not in shaper.MODES:
+        problems.append(f"mode must be one of {shaper.MODES}, got {config.mode!r}")
     # each comparison is written so that NaN fails it
     if config.thickness_um is not None and \
             not abs(config.thickness_um) * 1e-6 <= shaper.MAX_THICKNESS:

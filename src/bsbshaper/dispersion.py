@@ -68,14 +68,18 @@ def refractive_index(model: SellmeierModel, wl_um) -> np.ndarray | float:
     return np.sqrt(n2)
 
 
-def group_index(model: SellmeierModel, wl_um) -> np.ndarray | float:
-    """Group index n_g = n - lambda dn/dlambda, analytic derivative."""
-    model.check_range(wl_um)
-    s = np.asarray(wl_um, dtype=float) ** 2
+def _indices(model: SellmeierModel, wl_um):
+    """(n, n_g) of one axis from one phase-index evaluation; n_g = n - lambda dn/dlambda."""
     n = refractive_index(model, wl_um)
+    s = np.asarray(wl_um, dtype=float) ** 2
     # d(n^2)/dl = -2 l sum B C/(s-C)^2, so n_g = n + (s/n) sum B C/(s-C)^2
     correction = sum(b * c / (s - c) ** 2 for b, c in model.terms)
-    return n + s * correction / n
+    return n, n + s * correction / n
+
+
+def group_index(model: SellmeierModel, wl_um) -> np.ndarray | float:
+    """Group index n_g = n - lambda dn/dlambda, analytic derivative."""
+    return _indices(model, wl_um)[1]
 
 
 def _wl_um(omega) -> np.ndarray | float:
@@ -110,13 +114,15 @@ def omega1(material: Material, omega0: float) -> float:
     omega1 = omega0 - delta_k/delta_k' evaluated at omega0; equals zero for
     a dispersionless material (pure time shift).
     """
-    dng = float(delta_n_group(material, omega0))
+    wl = _wl_um(omega0)
+    n_e, ng_e = _indices(material.extraordinary, wl)
+    n_o, ng_o = _indices(material.ordinary, wl)
+    dng = float(ng_e - ng_o)
     if dng == 0.0:
         raise DegenerateMaterialError(
             f"material {material.name!r} has zero group-index contrast at the carrier"
         )
-    dn = float(delta_n(material, omega0))
-    return omega0 * (dng - dn) / dng
+    return omega0 * (dng - float(n_e - n_o)) / dng
 
 
 def _axis_model(name, axis, data) -> SellmeierModel:

@@ -16,7 +16,7 @@ import numpy as np
 from . import dispersion, ftsi, metrology, shaper
 from .config import RunConfig, config_header, validate_config
 from .errors import ConfigError
-from .io import meta_line, write_table
+from .io import write_table
 from .pulsefield import apply_transfer
 from .shaper import Compensator
 
@@ -70,7 +70,7 @@ def _ratio_pipeline(config: RunConfig, tag: str, outdir):
 
 def _phase_pipeline(config: RunConfig, tag: str, outdir):
     pulse, comp, pair, head = _setup(config)
-    grid, omega0 = pulse.grid, config.omega0
+    omega0 = config.omega0
     signal, shaped = shaper.channels(pair, config.mode)
     common = np.exp(1j * pair.common_phase)
     arm_signal = apply_transfer(pulse, signal * common)
@@ -85,18 +85,11 @@ def _phase_pipeline(config: RunConfig, tag: str, outdir):
     diff = ftsi.relative_phase(ftsi.retrieve_phase(gram_with, window),
                                ftsi.retrieve_phase(gram_ref, window))
 
-    paths = []
-    for name, gram in [("interferogram_with_bsb", gram_with),
-                       ("interferogram_without_bsb", gram_ref)]:
-        p = os.path.join(outdir, f"{tag}_{name}.csv")
-        _write_csv(p, head + [meta_line("delay_hint", gram.delay_hint)],
-                   ["omega_rad_per_s", "intensity"], [grid.omegas, gram.intensity])
-        paths.append(p)
-
-    p = os.path.join(outdir, f"{tag}_retrieved_phase.csv")
-    _write_csv(p, head, ["omega_rad_per_s", "phase_rad", "weight", "masked"],
-               [grid.omegas, diff.phase, diff.weight, diff.masked])
-    paths.append(p)
+    paths = [os.path.join(outdir, f"{tag}_{name}.csv") for name in
+             ("interferogram_with_bsb", "interferogram_without_bsb", "retrieved_phase")]
+    ftsi.write_interferogram_csv(gram_with, paths[0], head)
+    ftsi.write_interferogram_csv(gram_ref, paths[1], head)
+    ftsi.write_phase_csv(diff, paths[2], head)
 
     if config.mode == "envelope-half":
         jump = ftsi.detect_phase_jump(diff, omega0)

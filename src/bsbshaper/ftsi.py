@@ -20,6 +20,8 @@ from .pulsefield import SpectralField, SpectralGrid, TimeTrace, to_frequency, to
 WEIGHT_MASK_FRACTION = 1e-3
 DEFAULT_WINDOW_ORDER = 6
 BASEBAND_LEAK_LIMIT = 0.01
+JUMP_WINDOW = 2 * np.pi * 10e12  # rad/s on either side of the carrier
+JUMP_MIN_SAMPLES = 8  # unmasked samples needed on each side
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class Interferogram:
         s = np.asarray(self.intensity, dtype=float)
         if s.shape != (self.grid.n_samples,):
             raise ValueError("intensity length does not match grid")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("interferogram intensity must be finite")
         if np.any(s < -1e-15 * max(s.max(), 1.0)):
             raise ValueError("interferogram intensity must be non-negative")
         object.__setattr__(self, "intensity", np.maximum(s, 0.0))
@@ -185,17 +189,15 @@ def relative_phase(with_device: RetrievedPhase, without_device: RetrievedPhase) 
     return unwrap(wrap_to_principal(subtract_reference(with_device, without_device)))
 
 
-def detect_phase_jump(rp: RetrievedPhase, omega0: float,
-                      window_width: float = 2 * np.pi * 10e12,
-                      min_samples: int = 8) -> JumpReport:
-    """Estimate a phase step across omega0 from robust levels on either side."""
+def detect_phase_jump(rp: RetrievedPhase, omega0: float) -> JumpReport:
+    """Estimate a phase step across omega0 from robust levels within JUMP_WINDOW on either side."""
     w = rp.grid.omegas
     valid = ~rp.masked
-    below = valid & (w >= omega0 - window_width) & (w < omega0)
-    above = valid & (w > omega0) & (w <= omega0 + window_width)
-    if below.sum() < min_samples or above.sum() < min_samples:
+    below = valid & (w >= omega0 - JUMP_WINDOW) & (w < omega0)
+    above = valid & (w > omega0) & (w <= omega0 + JUMP_WINDOW)
+    if below.sum() < JUMP_MIN_SAMPLES or above.sum() < JUMP_MIN_SAMPLES:
         raise EmptyMaskError(
-            f"need >= {min_samples} unmasked samples on each side of the carrier "
+            f"need >= {JUMP_MIN_SAMPLES} unmasked samples on each side of the carrier "
             f"(have {int(below.sum())}/{int(above.sum())})"
         )
     level_below = float(np.median(rp.phase[below]))
@@ -203,7 +205,7 @@ def detect_phase_jump(rp: RetrievedPhase, omega0: float,
     magnitude = level_above - level_below
 
     # place the jump at the largest step between consecutive valid samples near omega0
-    near = valid & (np.abs(w - omega0) <= window_width)
+    near = valid & (np.abs(w - omega0) <= JUMP_WINDOW)
     idx = np.flatnonzero(near)
     if len(idx) >= 2:
         steps = np.abs(np.diff(rp.phase[idx]))
@@ -214,8 +216,10 @@ def detect_phase_jump(rp: RetrievedPhase, omega0: float,
     return JumpReport(location, magnitude, int(np.sign(magnitude)) if magnitude else 0)
 
 
-def write_interferogram_csv(gram: Interferogram, path):
-    write_table(path, [meta_line("delay_hint", gram.delay_hint), gram.grid.metadata_line()],
+def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
+    """The interferogram table, after the caller's comment lines."""
+    write_table(path, [*header_lines, meta_line("delay_hint", gram.delay_hint),
+                       gram.grid.metadata_line()],
                 ["omega_rad_per_s", "intensity"], [gram.grid.omegas, gram.intensity])
 
 
@@ -225,8 +229,9 @@ def read_interferogram_csv(path) -> Interferogram:
                          float(meta["delay_hint"]))
 
 
-def write_phase_csv(rp: RetrievedPhase, path):
-    write_table(path, [rp.grid.metadata_line()],
+def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
+    """The retrieved-phase table, after the caller's comment lines."""
+    write_table(path, [*header_lines, rp.grid.metadata_line()],
                 ["omega_rad_per_s", "phase_rad", "weight", "masked"],
                 [rp.grid.omegas, rp.phase, rp.weight, rp.masked])
 

@@ -21,6 +21,7 @@ from .pulsefield import SpectralField, apply_transfer
 from .shaper import Compensator
 
 BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity
+OBJECTIVE_T_CONST = 1e-15  # s; any positive value: overlap is invariant to the objective's scale
 ACHROMAT_MAX_CONDITION = 1e8
 
 
@@ -29,7 +30,6 @@ class OverlapReport:
     overlap: float
     efficiency: float
     band: tuple[float, float]  # rad/s
-    weighting: str = "complex field amplitude, source-intensity band limit"
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,10 @@ class DesignSolution:
     residuals: dict = field(default_factory=dict)
 
 
-def band_from_field(fld: SpectralField, floor: float = BAND_INTENSITY_FLOOR):
-    """(omega_lo, omega_hi) where the spectral intensity exceeds floor * peak."""
+def band_from_field(fld: SpectralField):
+    """(omega_lo, omega_hi) where the spectral intensity exceeds BAND_INTENSITY_FLOOR * peak."""
     power = np.abs(fld.amplitude) ** 2
-    keep = power >= floor * power.max()
+    keep = power >= BAND_INTENSITY_FLOOR * power.max()
     w = fld.grid.omegas[keep]
     return float(w[0]), float(w[-1])
 
@@ -81,39 +81,33 @@ def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralFie
     return apply_transfer(fld, shaped)
 
 
-def _score(pair: shaper.TransferPair, fld: SpectralField, mode: str, t_const: float,
-           band) -> OverlapReport:
-    """Overlap of the pair's shaped mode with the mode's objective, and its efficiency."""
+def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
+    """(overlap, band_from_field(source)) of `shaped` with the mode's objective of `source`."""
+    objective = shaper.objective(source.grid, mode, OBJECTIVE_T_CONST, source.omega0)
+    band = band_from_field(source)
+    return mode_overlap(shaped, apply_transfer(source, objective), band), band
+
+
+def _score(pair: shaper.TransferPair, fld: SpectralField, mode: str) -> OverlapReport:
+    """Objective overlap of the pair's shaped mode, and its efficiency."""
     shaped = apply_transfer(fld, shaper.channels(pair, mode)[1])
-    objective = shaper.objective(fld.grid, mode, t_const or 1e-16, fld.omega0)
-    if band is None:
-        band = band_from_field(fld)
-    ov = mode_overlap(shaped, apply_transfer(fld, objective), band)
-    return OverlapReport(ov, shaped.energy() / fld.energy(), band)
+    overlap, band = objective_overlap(shaped, fld, mode)
+    return OverlapReport(overlap, shaped.energy() / fld.energy(), band)
 
 
-def score_compensator(comp: Compensator, fld: SpectralField, mode: str,
-                      band=None) -> OverlapReport:
-    """Overlap of the exact shaped mode with its objective, plus channel efficiency.
-
-    The time constant of the objective is the device's own half group-delay
-    difference (overlap is invariant to it anyway).  Default band: where the
-    source spectral intensity exceeds BAND_INTENSITY_FLOOR of its peak.
-    """
-    t_const = abs(dispersion.delta_k_prime(comp.material, fld.omega0) * comp.thickness / 2)
-    return _score(shaper.transfer_exact(comp, fld.grid), fld, mode, t_const, band)
+def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> OverlapReport:
+    """Objective overlap of the exact shaped mode, plus channel efficiency."""
+    return _score(shaper.transfer_exact(comp, fld.grid), fld, mode)
 
 
-def _delta_k_checked(material: Material, omega0: float) -> float:
-    dk = float(dispersion.delta_k(material, omega0))
-    if dk == 0.0:
-        raise DegenerateMaterialError(f"{material.name!r} has no birefringence at the carrier")
-    return dk
+def _contrasts(material: Material, omega0: float) -> tuple[float, float]:
+    """(delta_k, delta_k') at the carrier."""
+    return (float(dispersion.delta_k(material, omega0)),
+            float(dispersion.delta_k_prime(material, omega0)))
 
 
-def _solution_for_length(material: Material, omega0: float, length: float) -> DesignSolution:
-    dk = float(dispersion.delta_k(material, omega0))
-    dkp = float(dispersion.delta_k_prime(material, omega0))
+def _solution_for_length(material: Material, omega0: float, length: float,
+                         dk: float, dkp: float) -> DesignSolution:
     return DesignSolution(
         segments=((material, length),),
         achieved_delay=dkp * length,
@@ -127,18 +121,20 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
     """Thickness giving group-delay difference tau: L = tau / delta_k'(omega0)."""
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
-    dkp = float(dispersion.delta_k_prime(material, omega0))
+    dk, dkp = _contrasts(material, omega0)
     if dkp == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no group-index contrast")
-    return _solution_for_length(material, omega0, tau / dkp)
+    return _solution_for_length(material, omega0, tau / dkp, dk, dkp)
 
 
 def thickness_for_order(material: Material, omega0: float, order: float) -> DesignSolution:
     """Thickness with delta_k(omega0) L / 2 = order * pi (half-integer orders allowed)."""
     if not order >= 0:
         raise ValueError("order must be >= 0")
-    dk = _delta_k_checked(material, omega0)
-    return _solution_for_length(material, omega0, 2 * order * np.pi / dk)
+    dk, dkp = _contrasts(material, omega0)
+    if dk == 0.0:
+        raise DegenerateMaterialError(f"{material.name!r} has no birefringence at the carrier")
+    return _solution_for_length(material, omega0, 2 * order * np.pi / dk, dk, dkp)
 
 
 def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
@@ -183,8 +179,6 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
     )
 
 
-def stack_overlap(solution: DesignSolution, fld: SpectralField, mode: str = "field",
-                  band=None) -> float:
+def stack_overlap(solution: DesignSolution, fld: SpectralField, mode: str = "field") -> float:
     """Overlap of a (possibly multi-segment) stack's exact shaped mode with its objective."""
-    pair = shaper.transfer_exact_segments(solution.segments, fld.grid)
-    return _score(pair, fld, mode, abs(solution.achieved_delay) / 2, band).overlap
+    return _score(shaper.transfer_exact_segments(solution.segments, fld.grid), fld, mode).overlap

@@ -79,6 +79,8 @@ class SpectralField:
         amp = np.asarray(self.amplitude, dtype=complex)
         if amp.shape != (self.grid.n_samples,):
             raise ValueError("amplitude length does not match grid")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitude must be finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
         if not self.grid.contains(self.omega0):

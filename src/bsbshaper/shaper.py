@@ -63,7 +63,6 @@ class TransferPair:
 class TransferFunction:
     grid: SpectralGrid
     values: np.ndarray  # complex per sample
-    label: str = ""
     masked: np.ndarray | None = None  # True where the value is unreliable
 
     def __post_init__(self):
@@ -120,22 +119,23 @@ def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
     masked = den_mag < DENOMINATOR_FLOOR * den_mag.max()
     safe = np.where(masked, 1.0, signal)
     values = np.where(masked, 0.0, -shaped / safe)
-    return TransferFunction(pair.grid, values, label=f"effective:{mode}", masked=masked)
+    return TransferFunction(pair.grid, values, masked)
 
 
 def objective_r1(grid: SpectralGrid, t1: float) -> TransferFunction:
     """Field time-derivative objective -i omega T1."""
     if not t1 > 0:
         raise ValueError("t1 must be positive")
-    return TransferFunction(grid, -1j * grid.omegas * t1, label="objective-field")
+    return TransferFunction(grid, -1j * grid.omegas * t1)
 
 
 def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFunction:
     """Envelope time-derivative objective -i (omega - omega0) T2."""
+    if not t2 > 0:
+        raise ValueError("t2 must be positive")
     if not grid.contains(omega0):
         raise ValueError("omega0 outside grid")
-    return TransferFunction(grid, -1j * (grid.omegas - omega0) * t2,
-                            label="objective-envelope")
+    return TransferFunction(grid, -1j * (grid.omegas - omega0) * t2)
 
 
 def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
@@ -160,5 +160,4 @@ def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,
         w_zero = dispersion.omega1(comp.material, omega0)
     else:
         w_zero = omega0
-    values = -1j * (grid.omegas - w_zero) * slope
-    return TransferFunction(grid, values, label=f"first-order:{mode}")
+    return TransferFunction(grid, -1j * (grid.omegas - w_zero) * slope)

@@ -343,3 +343,71 @@ def test_extra_phase_gdd_is_the_one_gdd_knob(tmp_path, files):
     plain = ftsi.synthesize_interferogram(signal, signal, tau)
     assert np.array_equal(ftsi.read_interferogram_csv(flat).intensity, plain.intensity)
     assert not np.array_equal(plain.intensity, expected.intensity)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pulse", "derive", "--mode", "envelope-half", "--input", "{pulse}", "--output",
+     "{tmp}/d.csv", "--t-const-fs", "nan"],
+    ["figure", "fig4", "--thickness-um", "0", "--outdir", "{tmp}"],
+])
+def test_degenerate_envelope_constant_fails_before_writing(tmp_path, files, capsys, argv):
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, **files) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "t2 must be positive" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+def test_non_finite_field_cell_fails_before_writing(tmp_path, files, capsys):
+    lines = open(files["pulse"]).read().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 100
+    lines[row] = ",".join(lines[row].split(",")[:1] + ["nan", "0.0\n"])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["pulse", "derive", "--input", str(bad), "--output", str(tmp_path / "d.csv")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
+def test_config_key_the_action_does_not_read_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("window_order: 8\nmaterial: quartz\n")
+    out = tmp_path / "t.csv"
+    assert main(["transfer", "--config", str(cfg), "--thickness-um", "5",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "window_order" in err and "material" not in err
+    assert not out.exists()
+
+
+def test_config_key_the_action_reads_is_accepted(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("thickness_um: 5.0\nmaterial: quartz\n")
+    out = tmp_path / "t.csv"
+    assert main(["transfer", "--config", str(cfg), "--output", str(out)]) == 0
+    assert "# config.thickness_um=5.0\n" in out.read_text()
+
+
+def test_figure_phase_table_feeds_ftsi_jump(tmp_path, capsys):
+    assert main(["figure", "fig5", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["ftsi", "jump", "--input", str(tmp_path / "fig5_retrieved_phase.csv")]) == 0
+    printed = _parse_kv(capsys.readouterr().out)
+    report = _parse_kv((tmp_path / "fig5_jump_report.txt").read_text())
+    assert printed["jump_magnitude_rad"] == report["jump_magnitude_rad"]
+
+
+def test_figure_interferograms_feed_ftsi_retrieve_and_subtract(tmp_path, capsys):
+    assert main(["figure", "fig3", "--outdir", str(tmp_path)]) == 0
+    for side in ("with", "without"):
+        assert main(["ftsi", "retrieve", "--no-unwrap", "--output", str(tmp_path / f"{side}.csv"),
+                     "--input", str(tmp_path / f"fig3_interferogram_{side}_bsb.csv")]) == 0
+    diff = tmp_path / "diff.csv"
+    assert main(["ftsi", "subtract", "--with", str(tmp_path / "with.csv"),
+                 "--without", str(tmp_path / "without.csv"), "--output", str(diff)]) == 0
+    got = ftsi.read_phase_csv(diff)
+    figure = ftsi.read_phase_csv(tmp_path / "fig3_retrieved_phase.csv")
+    assert np.array_equal(got.phase, figure.phase) and np.array_equal(got.masked, figure.masked)

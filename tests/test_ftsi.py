@@ -191,3 +191,24 @@ def test_phase_csv_roundtrip(tmp_path, pulse100):
     back = read_phase_csv(path)
     np.testing.assert_array_equal(back.phase, rp.phase)
     np.testing.assert_array_equal(back.masked, rp.masked)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interferogram_rejects_non_finite_samples(grid, bad):
+    intensity = np.ones(grid.n_samples)
+    intensity[100] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Interferogram(grid, intensity, TAU)
+
+
+def test_table_writers_put_caller_lines_first(tmp_path, pulse100):
+    gram = synthesize_interferogram(pulse100, pulse100, TAU)
+    rp = retrieve_phase(gram)
+    head = ["# provenance: test\n"]
+    for write, read, obj in [(write_interferogram_csv, read_interferogram_csv, gram),
+                             (write_phase_csv, read_phase_csv, rp)]:
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        write(obj, plain)
+        write(obj, headed, head)
+        assert headed.read_text() == head[0] + plain.read_text()
+        assert read(headed).grid == obj.grid

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from bsbshaper import metrology, shaper
+from bsbshaper import dispersion, metrology, shaper
 from bsbshaper.errors import DegenerateMaterialError
 from bsbshaper.metrology import (achromat_design, band_from_field, efficiency,
-                                 mode_overlap, score_compensator, shaped_mode,
-                                 stack_overlap, thickness_for_delay,
+                                 mode_overlap, objective_overlap, score_compensator,
+                                 shaped_mode, stack_overlap, thickness_for_delay,
                                  thickness_for_order)
-from bsbshaper.pulsefield import SpectralField, SpectralGrid, gaussian_pulse
+from bsbshaper.pulsefield import SpectralField, SpectralGrid, apply_transfer, gaussian_pulse
 from bsbshaper.shaper import Compensator
 from conftest import OMEGA0_800
 
@@ -133,3 +133,35 @@ def test_design_solvers_reject_non_finite_targets(quartz, kdp, value):
 def test_order_design_rejects_nan(quartz):
     with pytest.raises(ValueError, match="order"):
         thickness_for_order(quartz, OMEGA0_800, float("nan"))
+
+
+@pytest.mark.parametrize("mode,um", [("field", 5.4), ("envelope-integer", 90.0),
+                                     ("envelope-half", 45.0)])
+def test_objective_overlap_is_the_device_scaled_overlap(quartz, pulse100, mode, um):
+    comp = Compensator(quartz, um * 1e-6)
+    shaped = shaped_mode(comp, pulse100, mode)
+    t_const = abs(dispersion.delta_k_prime(quartz, OMEGA0_800) * comp.thickness / 2)
+    device = apply_transfer(pulse100, shaper.objective(pulse100.grid, mode, t_const,
+                                                       pulse100.omega0))
+    band = band_from_field(pulse100)
+    overlap, got_band = objective_overlap(shaped, pulse100, mode)
+    assert got_band == band
+    assert overlap == pytest.approx(mode_overlap(shaped, device, band), rel=1e-12)
+    assert score_compensator(comp, pulse100, mode).overlap == overlap
+
+
+def test_sellmeier_evaluations_per_call(quartz, pulse100, monkeypatch):
+    calls = []
+    index = dispersion.refractive_index
+    monkeypatch.setattr(dispersion, "refractive_index",
+                        lambda model, wl: calls.append(model) or index(model, wl))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(thickness_for_order, quartz, OMEGA0_800, 0.5) == 6
+    assert count(thickness_for_delay, quartz, OMEGA0_800, 0.17e-15) == 6
+    assert count(dispersion.omega1, quartz, OMEGA0_800) == 2
+    assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == 2

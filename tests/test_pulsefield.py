@@ -126,3 +126,11 @@ def test_gaussian_energy_normalization_any_width(fwhm_hz):
 def test_replica_difference_rejects_nan_delay(pulse100):
     with pytest.raises(ValueError, match="tau"):
         replica_difference(pulse100, float("nan"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_field_rejects_non_finite_samples(pulse100, bad):
+    amp = pulse100.amplitude.copy()
+    amp[100] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpectralField(pulse100.grid, amp, pulse100.omega0)

@@ -148,3 +148,9 @@ def test_unitarity_any_thickness(um):
 def test_field_objective_rejects_nan_constant(grid):
     with pytest.raises(ValueError, match="t1 must be positive"):
         objective_r1(grid, float("nan"))
+
+
+@pytest.mark.parametrize("t2", [float("nan"), 0.0, -1e-15])
+def test_envelope_objective_rejects_nonpositive_constant(grid, t2):
+    with pytest.raises(ValueError, match="t2 must be positive"):
+        objective_r2(grid, t2, OMEGA0_800)
