@@ -8,7 +8,7 @@ from .ftsi import (FtsiWindow, Interferogram, JumpReport, RetrievedPhase,
                    subtract_reference, synthesize_interferogram, unwrap,
                    wrap_to_principal)
 from .metrology import (DesignSolution, OverlapReport, achromat_design,
-                        band_from_field, efficiency, mode_overlap, objective_overlap,
+                        band_from_field, mode_overlap, objective_overlap,
                         score_compensator, stack_overlap, thickness_for_delay,
                         thickness_for_order)
 from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, apply_transfer,

@@ -80,16 +80,21 @@ def _cmd_material_info(args):
 
 def _print_design(solution, config: RunConfig):
     pulse = config.pulse()
-    overlap = metrology.stack_overlap(solution, pulse, config.mode)
+    plate = len(solution.segments) == 1  # efficiency is reported for a single plate only
+    if plate:
+        report = metrology.score_compensator(Compensator(*solution.segments[0]), pulse,
+                                             config.mode)
+        overlap = report.overlap
+    else:
+        overlap = metrology.stack_overlap(solution, pulse, config.mode)
     for material, length in solution.segments:
         print(f"segment: {material.name} thickness_um={length * 1e6:.6f}")
     print(f"achieved_delay_fs: {solution.achieved_delay * 1e15:.6f}")
     print(f"achieved_order: {solution.achieved_order:.6f}")
     print(f"omega1_over_omega0: {solution.achieved_omega1 / config.omega0:.6e}")
     print(f"overlap: {overlap:.8f}")
-    if len(solution.segments) == 1:
-        comp = Compensator(*solution.segments[0])
-        print(f"efficiency: {metrology.efficiency(comp, pulse, config.mode):.6e}")
+    if plate:
+        print(f"efficiency: {report.efficiency:.6e}")
     for key, value in solution.residuals.items():
         print(f"residual.{key}: {value!r}")
 

@@ -48,10 +48,11 @@ def _setup(config: RunConfig):
 def _ratio_pipeline(config: RunConfig, tag: str, outdir):
     pulse, comp, pair, head = _setup(config)
     grid, mode = pulse.grid, config.mode
+    t_const = abs(dispersion.delta_k_prime(comp.material, config.omega0) * comp.thickness / 2)
+    # before the response, so that zero thickness fails on its constant, not on the ratio
+    objective = shaper.objective(grid, mode, t_const, config.omega0)
     resp = shaper.effective_response(pair, mode)
     first = shaper.first_order_response(comp, grid, mode, config.omega0)
-    t_const = abs(dispersion.delta_k_prime(comp.material, config.omega0) * comp.thickness / 2)
-    objective = shaper.objective(grid, mode, t_const, config.omega0)
     unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
 

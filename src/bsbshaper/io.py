@@ -38,10 +38,20 @@ def write_table(path, header_lines, names, columns):
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_table(path, required_keys=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """(metadata, data): the `# key=value` strings and the float columns by name.
 
-    Raises ValueError when a required metadata key is missing or a row is malformed.
+    Raises ValueError when the column-name line is missing (no line, or a first
+    non-comment line of numbers), a required metadata key is missing or a row
+    is malformed.
     """
     metadata, names = {}, []
     with open(path) as fh:
@@ -53,6 +63,8 @@ def read_table(path, required_keys=()) -> tuple[dict[str, str], dict[str, np.nda
             elif line.strip():
                 names = line.strip().split(",")
                 break
+        if not names or any(map(_is_number, names)):
+            raise ValueError(f"{path}: no column-name line before the data rows")
         missing = [k for k in required_keys if k not in metadata]
         if missing:
             raise ValueError(f"{path}: missing {'/'.join(missing)} metadata")

@@ -66,19 +66,18 @@ def mode_overlap(a: SpectralField, b: SpectralField, band=None) -> float:
     return float(np.abs(np.sum(np.conj(ax) * bx)) ** 2 / (na * nb))
 
 
-def efficiency(comp: Compensator, fld: SpectralField, mode: str) -> float:
-    """Fraction of input energy ending up in the shaped polarization channel."""
-    return shaped_mode(comp, fld, mode).energy() / fld.energy()
-
-
-def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralField:
-    """The pulse exiting the shaped polarization channel (common phase dropped).
+def _shaped(segments, fld: SpectralField, mode: str) -> SpectralField:
+    """The pulse exiting a stack's shaped polarization channel (common phase dropped).
 
     The common propagation phase is shared with the unshaped signal channel
     and cancels in any relative-shape comparison, so it is omitted here.
     """
-    _, shaped = shaper.channels(shaper.transfer_exact(comp, fld.grid), mode)
-    return apply_transfer(fld, shaped)
+    return apply_transfer(fld, shaper.shaped_channel(segments, fld.grid, mode))
+
+
+def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralField:
+    """The pulse exiting the compensator's shaped polarization channel (common phase dropped)."""
+    return _shaped(comp.segments, fld, mode)
 
 
 def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
@@ -88,16 +87,16 @@ def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
     return mode_overlap(shaped, apply_transfer(source, objective), band), band
 
 
-def _score(pair: shaper.TransferPair, fld: SpectralField, mode: str) -> OverlapReport:
-    """Objective overlap of the pair's shaped mode, and its efficiency."""
-    shaped = apply_transfer(fld, shaper.channels(pair, mode)[1])
+def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
+    """Objective overlap of a stack's shaped mode, and its efficiency."""
+    shaped = _shaped(segments, fld, mode)
     overlap, band = objective_overlap(shaped, fld, mode)
     return OverlapReport(overlap, shaped.energy() / fld.energy(), band)
 
 
 def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> OverlapReport:
     """Objective overlap of the exact shaped mode, plus channel efficiency."""
-    return _score(shaper.transfer_exact(comp, fld.grid), fld, mode)
+    return _score(comp.segments, fld, mode)
 
 
 def _contrasts(material: Material, omega0: float) -> tuple[float, float]:
@@ -181,4 +180,4 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
 
 def stack_overlap(solution: DesignSolution, fld: SpectralField, mode: str = "field") -> float:
     """Overlap of a (possibly multi-segment) stack's exact shaped mode with its objective."""
-    return _score(shaper.transfer_exact_segments(solution.segments, fld.grid), fld, mode).overlap
+    return _score(solution.segments, fld, mode).overlap

@@ -9,6 +9,7 @@ is -i omega T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +35,12 @@ class SpectralGrid:
         if self.omega_start <= 0 or self.omega_step <= 0:
             raise ValueError("grid must be strictly positive and increasing")
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        return self.omega_start + self.omega_step * np.arange(self.n_samples)
+        """The sample frequencies, computed once per grid instance and read-only."""
+        w = self.omega_start + self.omega_step * np.arange(self.n_samples)
+        w.setflags(write=False)
+        return w
 
     @property
     def omega_end(self) -> float:

@@ -9,12 +9,13 @@ common propagation phase cancelled analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import dispersion
 from .dispersion import C_LIGHT, Material
-from .errors import GridMismatchError
+from .errors import BsbShaperError, GridMismatchError
 from .pulsefield import SpectralGrid
 
 MAX_THICKNESS = 10e-3  # m
@@ -22,6 +23,7 @@ MAX_THICKNESS = 10e-3  # m
 MODES = ("field", "envelope-integer", "envelope-half")
 
 DENOMINATOR_FLOOR = 1e-6  # of the band maximum, below which the ratio is masked
+WAVEVECTOR_TABLES = 8  # (material, grid) wavevector tables kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class Compensator:
                 f"{MAX_THICKNESS:.0e} m physical bound"
             )
 
+    @property
+    def segments(self) -> tuple[tuple[Material, float], ...]:
+        """The device as a one-segment stack."""
+        return ((self.material, self.thickness),)
+
 
 @dataclass(frozen=True)
 class TransferPair:
@@ -53,10 +60,13 @@ class TransferPair:
     h_y: np.ndarray
     common_phase: np.ndarray
 
+    def response(self, axis: str) -> np.ndarray:
+        """Channel response of the "x" or "y" axis, without the common phase."""
+        return {"x": self.h_x, "y": self.h_y}[axis]
+
     def full(self, axis: str) -> np.ndarray:
         """Channel response including the common phase factor."""
-        h = {"x": self.h_x, "y": self.h_y}[axis]
-        return h * np.exp(1j * self.common_phase)
+        return self.response(axis) * np.exp(1j * self.common_phase)
 
 
 @dataclass(frozen=True)
@@ -72,38 +82,78 @@ class TransferFunction:
         object.__setattr__(self, "values", v)
 
 
-def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
-    """Exact cos/sin response of a stack of birefringent segments, one index array per axis."""
+@lru_cache(maxsize=WAVEVECTOR_TABLES)
+def _wavevectors(material: Material, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (k_e - k_o, k_e + k_o) [rad/m] on the grid, one Sellmeier evaluation per axis.
+
+    Cached per (material, grid); a grid outside the validity window raises on
+    every call, because an exception is not cached.
+    """
     w = grid.omegas
     wl = 2 * np.pi * C_LIGHT / w * 1e6
+    n_e = dispersion.refractive_index(material.extraordinary, wl)
+    n_o = dispersion.refractive_index(material.ordinary, wl)
+    tables = ((n_e - n_o) * w / C_LIGHT, (n_e + n_o) * w / C_LIGHT)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:
+    """psi/2 = sum of (k_e - k_o) L / 2 over the segments."""
     psi_half = np.zeros(grid.n_samples)
+    for material, thickness in segments:
+        psi_half += _wavevectors(material, grid)[0] * thickness / 2
+    return psi_half
+
+
+def _axis_response(psi_half: np.ndarray, axis: str) -> np.ndarray:
+    """h_x = cos(psi/2) on the "x" axis, h_y = i sin(psi/2) on the "y" axis."""
+    return np.cos(psi_half).astype(complex) if axis == "x" else 1j * np.sin(psi_half)
+
+
+def _mode_axes(mode: str) -> tuple[str, str]:
+    """(signal, shaped) axes of a mode.
+
+    field / envelope-integer: signal on x, shaped on y.  envelope-half: the
+    axes are exchanged.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return ("y", "x") if mode == "envelope-half" else ("x", "y")
+
+
+def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
+    """Exact cos/sin response and common phase of a stack of birefringent segments."""
+    psi_half = _half_retardance(segments, grid)
     phi = np.zeros(grid.n_samples)
     for material, thickness in segments:
-        n_e = dispersion.refractive_index(material.extraordinary, wl)
-        n_o = dispersion.refractive_index(material.ordinary, wl)
-        psi_half += (n_e - n_o) * w / C_LIGHT * thickness / 2
-        phi += (n_e + n_o) * w / C_LIGHT * abs(thickness) / 2
-    return TransferPair(grid, np.cos(psi_half).astype(complex),
-                        1j * np.sin(psi_half), phi)
+        phi += _wavevectors(material, grid)[1] * abs(thickness) / 2
+    return TransferPair(grid, _axis_response(psi_half, "x"), _axis_response(psi_half, "y"), phi)
 
 
 def transfer_exact(comp: Compensator, grid: SpectralGrid) -> TransferPair:
     """Exact response of a single compensator (signed thickness negates delta_k)."""
-    return transfer_exact_segments([(comp.material, comp.thickness)], grid)
+    return transfer_exact_segments(comp.segments, grid)
+
+
+def shaped_channel(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
+    """The mode's shaped-channel response of a stack, equal to channels(...)[1] of its pair.
+
+    Computes only that channel: no common phase and no signal channel.
+    """
+    shaped = _mode_axes(mode)[1]
+    return _axis_response(_half_retardance(segments, grid), shaped)
 
 
 def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(signal, shaped) channel responses of a mode, unsigned and without common phase.
 
-    field / envelope-integer: signal on x, shaped on y.  envelope-half: the
-    axes are exchanged.  The analyser on the -y axis contributes a minus sign
-    wherever the two channels are compared.
+    The analyser on the -y axis contributes a minus sign wherever the two
+    channels are compared.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "envelope-half":
-        return pair.h_y, pair.h_x
-    return pair.h_x, pair.h_y
+    signal, shaped = _mode_axes(mode)
+    return pair.response(signal), pair.response(shaped)
 
 
 def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
@@ -112,10 +162,14 @@ def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
     R = -shaped/signal: -h_y/h_x = -i tan(psi/2) for field / envelope-integer
     and -h_x/h_y = i cot(psi/2) for envelope-half.  Samples where the signal
     channel drops below DENOMINATOR_FLOOR of its band maximum are masked, not
-    dropped.
+    dropped; a signal channel that is zero everywhere (envelope-half at zero
+    thickness) raises BsbShaperError.
     """
     signal, shaped = channels(pair, mode)
     den_mag = np.abs(signal)
+    if not den_mag.max() > 0:
+        raise BsbShaperError(f"the {mode} signal channel is zero on the whole grid, "
+                             "so the shaped/unshaped ratio is undefined")
     masked = den_mag < DENOMINATOR_FLOOR * den_mag.max()
     safe = np.where(masked, 1.0, signal)
     values = np.where(masked, 0.0, -shaped / safe)

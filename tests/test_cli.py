@@ -411,3 +411,26 @@ def test_figure_interferograms_feed_ftsi_retrieve_and_subtract(tmp_path, capsys)
     got = ftsi.read_phase_csv(diff)
     figure = ftsi.read_phase_csv(tmp_path / "fig3_retrieved_phase.csv")
     assert np.array_equal(got.phase, figure.phase) and np.array_equal(got.masked, figure.masked)
+
+
+def test_zero_thickness_envelope_half_transfer_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["transfer", "--thickness-um", "0", "--mode", "envelope-half",
+                 "--output", str(out)]) == 1
+    assert "signal channel is zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "delay"],
+    ["design", "order", "--mode", "envelope-half"],
+    ["design", "achromat", "--nu-start-thz", "185", "--nu-end-thz", "565"],
+])
+def test_design_scores_the_stack_once(capsys, monkeypatch, argv):
+    calls = []
+    retardance = shaper._half_retardance
+    monkeypatch.setattr(shaper, "_half_retardance",
+                        lambda *args: calls.append(args) or retardance(*args))
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert ("efficiency" in capsys.readouterr().out) == (argv[1] != "achromat")

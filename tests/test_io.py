@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bsbshaper import figures
 from bsbshaper.config import RunConfig
@@ -79,3 +81,67 @@ def test_table_malformed_row(tmp_path, body):
     path.write_text("a,b\n" + body)
     with pytest.raises(ValueError, match="malformed row"):
         read_table(path)
+
+
+def test_table_without_column_names(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# grid=4 1.0 1.0\n# omega0=2.0\n")
+    with pytest.raises(ValueError, match="column-name line"):
+        read_table(path, ("grid",))
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_NOT_A_NUMBER = st.text(alphabet="abcdxyz_-+.", min_size=1, max_size=6).filter(
+    lambda t: not _is_float(t))
+
+
+@st.composite
+def _broken_tables(draw):
+    """(valid text, names, rows, broken text): one corruption of a valid table."""
+    names = draw(st.lists(st.sampled_from(["re", "im", "omega", "phase", "masked"]),
+                          min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=12))
+    comments = ["# grid=4 1.0 1.0\n", "# provenance text\n"]
+    kind = draw(st.sampled_from(["truncated", "cell count", "non-numeric", "no names"]
+                                if len(names) > 1 else ["cell count", "non-numeric", "no names"]))
+    broken = [list(r) for r in rows]
+    k = draw(st.integers(0, len(rows) - 1))
+    if kind == "truncated":
+        broken[k] = broken[k][:draw(st.integers(1, len(names) - 1))]
+    elif kind == "cell count":
+        broken[k] += draw(st.lists(_CELL, min_size=1, max_size=3))
+    elif kind == "non-numeric":
+        broken[k][draw(st.integers(0, len(names) - 1))] = draw(_NOT_A_NUMBER)
+
+    def text(with_names, body):
+        lines = [",".join(r) + "\n" for r in body]
+        return "".join(comments + [",".join(names) + "\n"] * with_names + lines)
+
+    if kind == "no names":
+        return text(True, rows), names, rows, text(False, draw(st.sampled_from([rows, []])))
+    return text(True, rows), names, rows, text(True, broken)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_broken_tables())
+def test_read_table_fuzz_rejects_broken_tables(tmp_path, case):
+    valid, names, rows, broken = case
+    path = tmp_path / "table.csv"
+    path.write_text(valid)
+    _, data = read_table(path, ("grid",))
+    assert list(data) == names
+    assert np.array_equal(np.column_stack([data[n] for n in names]),
+                          np.array(rows, dtype=float))
+    path.write_text(broken)
+    with pytest.raises(ValueError):
+        read_table(path, ("grid",))

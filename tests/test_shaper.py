@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsbshaper import dispersion, shaper
+from bsbshaper.errors import BsbShaperError, WavelengthRangeError
 from bsbshaper.shaper import (Compensator, effective_response,
                               first_order_response, objective_r1, objective_r2,
                               transfer_exact, transfer_exact_segments)
@@ -154,3 +155,75 @@ def test_field_objective_rejects_nan_constant(grid):
 def test_envelope_objective_rejects_nonpositive_constant(grid, t2):
     with pytest.raises(ValueError, match="t2 must be positive"):
         objective_r2(grid, t2, OMEGA0_800)
+
+
+KDP_GRID_SPEC = (4096, 2 * np.pi * 185e12, 2 * np.pi * 380e12 / 4096)  # clear of KDP's 1.7 um
+
+
+def _direct_pair(segments, grid):
+    """Reference transfer: both Sellmeier axes evaluated afresh for every segment."""
+    w = grid.omegas
+    wl = 2 * np.pi * dispersion.C_LIGHT / w * 1e6
+    psi_half = np.zeros(grid.n_samples)
+    phi = np.zeros(grid.n_samples)
+    for material, thickness in segments:
+        n_e = dispersion.refractive_index(material.extraordinary, wl)
+        n_o = dispersion.refractive_index(material.ordinary, wl)
+        psi_half += (n_e - n_o) * w / dispersion.C_LIGHT * thickness / 2
+        phi += (n_e + n_o) * w / dispersion.C_LIGHT * abs(thickness) / 2
+    return np.cos(psi_half).astype(complex), 1j * np.sin(psi_half), phi
+
+
+def _stacks(quartz, kdp):
+    from bsbshaper.pulsefield import SpectralGrid, default_grid
+    return [(((quartz, 5.4e-6),), default_grid()),
+            (((quartz, -44.97e-6),), default_grid()),
+            (((quartz, 5e-6), (kdp, -2e-6)), SpectralGrid(*KDP_GRID_SPEC))]
+
+
+def test_transfer_is_bit_equal_to_direct_sellmeier_evaluation(quartz, kdp):
+    for segments, grid in _stacks(quartz, kdp):
+        for _ in range(2):  # a cold and a cached table
+            pair = transfer_exact_segments(segments, grid)
+            h_x, h_y, phi = _direct_pair(segments, grid)
+            np.testing.assert_array_equal(pair.h_x, h_x)
+            np.testing.assert_array_equal(pair.h_y, h_y)
+            np.testing.assert_array_equal(pair.common_phase, phi)
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+def test_shaped_channel_is_bit_equal_to_the_pair_channel(quartz, kdp, mode):
+    for segments, grid in _stacks(quartz, kdp):
+        expected = shaper.channels(transfer_exact_segments(segments, grid), mode)[1]
+        np.testing.assert_array_equal(shaper.shaped_channel(segments, grid, mode), expected)
+
+
+def test_shaped_channel_rejects_unknown_mode(quartz, grid):
+    with pytest.raises(ValueError, match="mode"):
+        shaper.shaped_channel(((quartz, 5e-6),), grid, "both")
+
+
+def test_wavevector_tables_and_omegas_are_read_only(quartz, grid):
+    assert grid.omegas is grid.omegas
+    with pytest.raises(ValueError, match="read-only"):
+        grid.omegas[0] = 1.0
+    for table in shaper._wavevectors(quartz, grid):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert shaper._wavevectors(quartz, grid) is shaper._wavevectors(quartz, grid)
+
+
+def test_out_of_range_grid_raises_on_every_call(kdp, grid):
+    # the default grid starts at 2 um, past KDP's 1.7 um validity edge
+    for _ in range(2):
+        with pytest.raises(WavelengthRangeError):
+            transfer_exact(Compensator(kdp, 5e-6), grid)
+        with pytest.raises(WavelengthRangeError):
+            shaper.shaped_channel(((kdp, 5e-6),), grid, "field")
+
+
+def test_effective_response_rejects_an_all_zero_signal_channel(quartz, grid):
+    pair = transfer_exact(_comp(quartz, 0.0), grid)
+    with pytest.raises(BsbShaperError, match="signal channel is zero"):
+        effective_response(pair, "envelope-half")
+    assert not effective_response(pair, "field").masked.any()  # there the ratio is 0
