@@ -119,6 +119,24 @@ def _cmd_design_achromat(args):
         config.omega0, target_w1, args.tau_fs * 1e-15), config)
 
 
+def _cmd_design_sweep(args):
+    if args.points < 1 or not (0 < args.lmin_um < np.inf and 0 < args.lmax_um < np.inf):
+        raise ConfigError("sweep needs --points >= 1 and finite, positive --lmin-um/--lmax-um")
+    config = _config_from(args)
+    material = dispersion.get_material(config.material)
+    pulse = config.pulse()
+    lengths = np.geomspace(args.lmin_um, args.lmax_um, args.points) * 1e-6
+    reports = [metrology.score_compensator(Compensator(material, float(length)), pulse,
+                                           config.mode) for length in lengths]
+    write_table(args.output, [config_header(config)],
+                ["thickness_um", "delay_fs", "order", "overlap", "efficiency"],
+                [lengths * 1e6,
+                 dispersion.delta_k_prime(material, config.omega0) * lengths * 1e15,
+                 dispersion.delta_k(material, config.omega0) * lengths / (2 * np.pi),
+                 [r.overlap for r in reports], [r.efficiency for r in reports]])
+    print(args.output)
+
+
 def _cmd_transfer(args):
     config = _config_from(args)
     if config.thickness_um is None:
@@ -182,7 +200,9 @@ def _cmd_overlap(args):
 
 
 def _cmd_figure(args):
-    print("\n".join(figures.run_figure_pipeline(_config_from(args), args.figure)))
+    config = _config_from(args)
+    for figure in args.figure:
+        print("\n".join(figures.run_figure_pipeline(config, figure)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _action(design, "achromat", _cmd_design_achromat, _DESIGN + ("material_b",))
     p.add_argument("--tau-fs", type=float, default=0.17)
     p.add_argument("--target-omega1", choices=("zero", "carrier"), default="zero")
+    p = _action(design, "sweep", _cmd_design_sweep, ("material", "mode"), ["output"])
+    p.add_argument("--lmin-um", type=float, default=0.5)
+    p.add_argument("--lmax-um", type=float, default=80.0)
+    p.add_argument("--points", type=int, default=60)
 
     p = _action(sub, "transfer", _cmd_transfer, _GRID + ("material", "thickness_um", "mode"),
                 help="evaluate the exact transfer functions")
@@ -238,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_fields = [f for f in _FIELDS if f not in ("mode", "material_b")]  # figure fixes mode
     p = _action(sub, "figure", _cmd_figure, figure_fields,
-                help="emit plot-ready data for one measurement figure")
-    p.add_argument("figure", choices=figures.FIGURES)
+                help="emit plot-ready data for measurement figures, in the order given")
+    p.add_argument("figure", nargs="+", choices=figures.FIGURES)
     return parser
 
 

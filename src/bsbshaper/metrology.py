@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dispersion, shaper
 from .dispersion import Material
-from .errors import DegenerateMaterialError
+from .errors import BsbShaperError, DegenerateMaterialError
 from .pulsefield import SpectralField, apply_transfer
 from .shaper import Compensator
 
@@ -42,11 +42,17 @@ class DesignSolution:
 
 
 def band_from_field(fld: SpectralField):
-    """(omega_lo, omega_hi) where the spectral intensity exceeds BAND_INTENSITY_FLOOR * peak."""
+    """(omega_lo, omega_hi) where the spectral intensity exceeds BAND_INTENSITY_FLOOR * peak.
+
+    A spectrum with several peaks, whose samples above the floor are not contiguous, raises.
+    """
     power = np.abs(fld.amplitude) ** 2
-    keep = power >= BAND_INTENSITY_FLOOR * power.max()
-    w = fld.grid.omegas[keep]
-    return float(w[0]), float(w[-1])
+    idx = np.flatnonzero(power >= BAND_INTENSITY_FLOOR * power.max())
+    if idx[-1] - idx[0] + 1 != idx.size:
+        raise BsbShaperError("the spectrum has several peaks: its samples above the band floor "
+                             "are not contiguous")
+    w = fld.grid.omegas
+    return float(w[idx[0]]), float(w[idx[-1]])
 
 
 def mode_overlap(a: SpectralField, b: SpectralField, band=None) -> float:

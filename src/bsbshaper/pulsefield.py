@@ -32,8 +32,8 @@ class SpectralGrid:
     def __post_init__(self):
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise ValueError(f"n_samples must be a power of two, got {self.n_samples}")
-        if self.omega_start <= 0 or self.omega_step <= 0:
-            raise ValueError("grid must be strictly positive and increasing")
+        if not (0 < self.omega_start < np.inf and 0 < self.omega_step < np.inf):  # NaN fails
+            raise ValueError("grid must be finite, strictly positive and increasing")
 
     @cached_property
     def omegas(self) -> np.ndarray:

@@ -194,6 +194,7 @@ def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFuncti
 
 def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
     """The mode's derivative objective: objective_r1 for field, objective_r2 otherwise."""
+    _mode_axes(mode)  # rejects an unknown mode
     if mode == "field":
         return objective_r1(grid, t_const)
     return objective_r2(grid, t_const, omega0)
@@ -207,8 +208,7 @@ def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,
     crossing of the linearized birefringence; envelope modes: the same slope
     anchored at omega0 instead.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _mode_axes(mode)  # rejects an unknown mode
     slope = dispersion.delta_k_prime(comp.material, omega0) * comp.thickness / 2
     if mode == "field":
         w_zero = dispersion.omega1(comp.material, omega0)

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from bsbshaper import dispersion
-from bsbshaper.pulsefield import default_grid, gaussian_pulse
+from bsbshaper.pulsefield import SpectralField, default_grid, gaussian_pulse
 
 OMEGA0_800 = 2 * np.pi * dispersion.C_LIGHT / 800e-9
+
+
+def two_peak_field(grid):
+    """Gaussians at 250 and 500 THz, 30 THz wide: two bands with a dark gap between them."""
+    amp = sum(gaussian_pulse(grid, 2 * np.pi * nu, 2 * np.pi * 30e12).amplitude
+              for nu in (250e12, 500e12))
+    return SpectralField(grid, amp, 2 * np.pi * 250e12)
 
 
 @pytest.fixture(scope="session")

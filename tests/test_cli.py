@@ -1,14 +1,19 @@
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from bsbshaper import ftsi, shaper
+from bsbshaper import dispersion, ftsi, shaper
 from bsbshaper.cli import build_parser, main
 from bsbshaper.config import RunConfig
-from bsbshaper.pulsefield import read_field_csv
+from bsbshaper.io import read_table
+from bsbshaper.metrology import score_compensator
+from bsbshaper.pulsefield import default_grid, read_field_csv, write_field_csv
+from bsbshaper.shaper import Compensator
+from conftest import two_peak_field
 
 
 def _parse_kv(text):
@@ -217,6 +222,7 @@ _CONFIG_FLAGS = {  # action: the RunConfig fields its handler reads
     ("design", "delay"): _DESIGN,
     ("design", "order"): _DESIGN,
     ("design", "achromat"): _DESIGN | {"material_b"},
+    ("design", "sweep"): {"material", "mode"},
     ("transfer",): _GRID | {"material", "thickness_um", "mode"},
     ("pulse", "synth"): _GRID | {"carrier_nm", "fwhm_thz"},
     ("pulse", "derive"): {"mode"},
@@ -434,3 +440,96 @@ def test_design_scores_the_stack_once(capsys, monkeypatch, argv):
     assert main(argv) == 0
     assert len(calls) == 1
     assert ("efficiency" in capsys.readouterr().out) == (argv[1] != "achromat")
+
+
+def test_design_sweep_reads_back_exactly(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["design", "sweep", "--points", "3", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    meta, data = read_table(out, ("config.mode",))
+    assert meta["config.mode"] == "'field'"
+    lengths = np.geomspace(0.5, 80.0, 3) * 1e-6
+    assert np.array_equal(data["thickness_um"], lengths * 1e6)
+    pulse, quartz = RunConfig().pulse(), dispersion.get_material("quartz")
+    for k, length in enumerate(lengths):
+        report = score_compensator(Compensator(quartz, float(length)), pulse, "field")
+        assert data["overlap"][k] == report.overlap
+        assert data["efficiency"][k] == report.efficiency
+
+
+def test_design_sweep_runs_a_descending_range(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["design", "sweep", "--lmin-um", "80", "--lmax-um", "0.5", "--points", "3",
+                 "--output", str(out)]) == 0
+    _, data = read_table(out, ())
+    assert np.array_equal(data["thickness_um"], np.geomspace(80.0, 0.5, 3) * 1e-6 * 1e6)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "nope"], "invalid choice"), (["--material", "diamond"], "available"),
+    (["--points", "0"], "sweep needs"), (["--points", "-2"], "sweep needs"),
+    (["--lmin-um", "-1"], "sweep needs"), (["--lmin-um", "0"], "sweep needs"),
+    (["--lmin-um", "inf"], "sweep needs"), (["--lmax-um", "nan"], "sweep needs"),
+    (["--lmax-um", "inf"], "sweep needs"),
+], ids=["mode", "material", "points-0", "points-neg", "lmin-neg", "lmin-0", "lmin-inf",
+        "lmax-nan", "lmax-inf"])
+def test_design_sweep_rejects_bad_input_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["design", "sweep", *argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,yaml", [
+    (["design", "sweep", "--points", "3", "--output", "{tmp}/sweep.csv"], "n_samples: 1024\n"),
+    (["figure", "fig2", "--outdir", "{tmp}"], "mode: field\nmaterial_b: yvo4\n"),
+], ids=["sweep", "figure"])
+def test_unread_config_keys_fail_before_writing(tmp_path, capsys, argv, yaml):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml)
+    before = _listing(tmp_path)
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--config", str(cfg)]) == 1
+    assert "config keys this action does not read" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
+def test_figure_runs_several_figures_in_order(tmp_path, capsys):
+    for figure in ("fig4", "fig2"):
+        assert main(["figure", figure, "--outdir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    blobs = {path: open(path, "rb").read() for path in printed.split()}
+    for path in blobs:
+        os.remove(path)
+    assert main(["figure", "fig4", "fig2", "fig9", "--outdir", str(tmp_path)]) == 1
+    assert "invalid choice" in capsys.readouterr().err and _listing(tmp_path) == []
+    assert main(["figure", "fig4", "fig2", "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == printed
+    assert {path: open(path, "rb").read() for path in printed.split()} == blobs
+
+
+@pytest.mark.parametrize("argv,source,grid", [
+    (["ftsi", "jump", "--input", "{bad}"], "phase", "{n} nan {step}"),
+    (["pulse", "derive", "--input", "{bad}", "--output", "{tmp}/d.csv"], "pulse",
+     "{n} {start} inf"),
+], ids=["nan-start", "inf-step"])
+def test_non_finite_grid_line_fails_at_the_boundary(tmp_path, files, capsys, argv, source, grid):
+    text = open(files[source]).read()
+    line = next(l for l in text.splitlines() if l.startswith("# grid="))
+    n, start, step = line.removeprefix("# grid=").split()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace(line, "# grid=" + grid.format(n=n, start=start, step=step)))
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(bad=bad, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "grid must be finite" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+def test_overlap_rejects_a_source_with_several_peaks(tmp_path, capsys):
+    src = tmp_path / "two_peaks.csv"
+    write_field_csv(two_peak_field(default_grid()), src)
+    assert main(["overlap", "--objective", "field", "--shaped", str(src),
+                 "--source", str(src)]) == 1
+    assert "several peaks" in capsys.readouterr().err

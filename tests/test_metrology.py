@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from bsbshaper import dispersion, metrology, shaper
-from bsbshaper.errors import DegenerateMaterialError
+from bsbshaper.errors import BsbShaperError, DegenerateMaterialError
 from bsbshaper.metrology import (achromat_design, band_from_field,
                                  mode_overlap, objective_overlap, score_compensator,
                                  shaped_mode, stack_overlap, thickness_for_delay,
                                  thickness_for_order)
 from bsbshaper.pulsefield import SpectralField, SpectralGrid, apply_transfer, gaussian_pulse
 from bsbshaper.shaper import Compensator
-from conftest import OMEGA0_800
+from conftest import OMEGA0_800, two_peak_field
 
 # grid clear of the KDP validity edge (its Sellmeier fit stops at 1.7 um)
 KDP_GRID = SpectralGrid(4096, 2 * np.pi * 185e12, 2 * np.pi * 380e12 / 4096)
@@ -49,6 +49,11 @@ def test_band_from_field(pulse100):
     power = np.abs(pulse100.amplitude) ** 2
     sel = (pulse100.grid.omegas >= lo) & (pulse100.grid.omegas <= hi)
     assert power[sel].min() >= metrology.BAND_INTENSITY_FLOOR * power.max() * (1 - 1e-12)
+
+
+def test_band_from_field_rejects_several_peaks(grid):
+    with pytest.raises(BsbShaperError, match="several peaks"):
+        band_from_field(two_peak_field(grid))
 
 
 def test_thickness_for_delay_value(quartz):

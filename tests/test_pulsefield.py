@@ -17,6 +17,13 @@ def test_grid_requires_power_of_two():
         SpectralGrid(1000, 1e15, 1e12)
 
 
+@pytest.mark.parametrize("start,step", [(np.nan, 1.0), (1e15, np.inf), (np.inf, 1e12),
+                                        (1e15, np.nan), (1e15, -np.inf), (0.0, 1e12)])
+def test_grid_must_be_finite_and_positive(start, step):
+    with pytest.raises(ValueError, match="grid must be finite"):
+        SpectralGrid(4096, start, step)
+
+
 def test_default_grid_span(grid):
     assert grid.n_samples == 4096
     assert grid.omega_start == pytest.approx(2 * np.pi * 150e12)

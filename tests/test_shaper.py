@@ -203,6 +203,16 @@ def test_shaped_channel_rejects_unknown_mode(quartz, grid):
         shaper.shaped_channel(((quartz, 5e-6),), grid, "both")
 
 
+@pytest.mark.parametrize("make", [
+    lambda grid, mode: shaper.objective(grid, mode, 1e-15, OMEGA0_800),
+    lambda grid, mode: shaper.first_order_response(Compensator(
+        dispersion.get_material("quartz"), 5e-6), grid, mode, OMEGA0_800),
+], ids=["objective", "first_order_response"])
+def test_objective_and_first_order_reject_unknown_mode(grid, make):
+    with pytest.raises(ValueError, match="mode must be one of"):
+        make(grid, "bogus")
+
+
 def test_wavevector_tables_and_omegas_are_read_only(quartz, grid):
     assert grid.omegas is grid.omegas
     with pytest.raises(ValueError, match="read-only"):
