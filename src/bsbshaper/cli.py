@@ -7,13 +7,12 @@ Exit codes: 0 success, 1 usage or validation error, 2 numerical-degeneracy error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
 from . import dispersion, figures, ftsi, metrology, shaper
-from .config import RunConfig, config_header, load_config
+from .config import FIELD_TYPES, RunConfig, config_header, load_config
 from .errors import (BsbShaperError, ConfigError, DegenerateMaterialError,
                      EmptyMaskError, SidebandOverlapError)
 from .io import write_table
@@ -30,7 +29,6 @@ class _Parser(argparse.ArgumentParser):  # usage errors exit 1, not argparse's 2
         raise ConfigError(f"{self.prog}: {message}")
 
 
-_FIELDS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 _GRID = ("n_samples", "nu_start_thz", "nu_end_thz")
 _DESIGN = _GRID + ("carrier_nm", "fwhm_thz", "material", "mode")
 
@@ -43,9 +41,7 @@ def _action(sub, name, func, config=(), files=(), **kw):
     if config:
         p.add_argument("--config", help="YAML config file; flags override its values")
     for field in config:
-        default = _FIELDS[field]
-        p.add_argument("--" + field.replace("_", "-"), dest=field,
-                       type=float if default is None else type(default),
+        p.add_argument("--" + field.replace("_", "-"), dest=field, type=FIELD_TYPES[field],
                        choices=shaper.MODES if field == "mode" else None)
     p.set_defaults(func=func, config_fields=config)
     return p
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shaped", required=True, help="field CSV of the shaped mode")
     p.add_argument("--source", required=True, help="field CSV of the source pulse")
 
-    figure_fields = [f for f in _FIELDS if f not in ("mode", "material_b")]  # figure fixes mode
+    figure_fields = [f for f in FIELD_TYPES if f not in ("mode", "material_b")]  # figure fixes mode
     p = _action(sub, "figure", _cmd_figure, figure_fields,
                 help="emit plot-ready data for measurement figures, in the order given")
     p.add_argument("figure", nargs="+", choices=figures.FIGURES)

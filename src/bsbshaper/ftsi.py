@@ -33,6 +33,8 @@ class Interferogram:
     delay_hint: float  # s
 
     def __post_init__(self):
+        if not 0 < self.delay_hint < np.inf:  # NaN fails too
+            raise ValueError(f"delay_hint must be finite and positive, got {self.delay_hint} s")
         s = np.asarray(self.intensity, dtype=float)
         if s.shape != (self.grid.n_samples,):
             raise ValueError("intensity length does not match grid")
@@ -62,6 +64,8 @@ class FtsiWindow:
     def __post_init__(self):
         if self.order < 2 or self.order % 2:
             raise ValueError("window order must be an even integer >= 2")
+        if self.width is not None and not 0 < self.width < np.inf:  # NaN fails too
+            raise ValueError(f"window width must be finite and positive, got {self.width} s")
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,6 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
             raise SidebandOverlapError("no pseudo-time samples beyond the baseband to search")
         t_c = t[search][np.argmax(mag[search])]
     width = window.width if window.width is not None else tau / 3
-    if width <= 0:
-        raise ValueError("window width must be positive")
 
     win = np.exp(-(((t - t_c) / width) ** window.order))
     filtered = trace.amplitude * win

@@ -72,20 +72,6 @@ def mode_overlap(a: SpectralField, b: SpectralField, band=None) -> float:
     return float(np.abs(np.sum(np.conj(ax) * bx)) ** 2 / (na * nb))
 
 
-def _shaped(segments, fld: SpectralField, mode: str) -> SpectralField:
-    """The pulse exiting a stack's shaped polarization channel (common phase dropped).
-
-    The common propagation phase is shared with the unshaped signal channel
-    and cancels in any relative-shape comparison, so it is omitted here.
-    """
-    return apply_transfer(fld, shaper.shaped_channel(segments, fld.grid, mode))
-
-
-def shaped_mode(comp: Compensator, fld: SpectralField, mode: str) -> SpectralField:
-    """The pulse exiting the compensator's shaped polarization channel (common phase dropped)."""
-    return _shaped(comp.segments, fld, mode)
-
-
 def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
     """(overlap, band_from_field(source)) of `shaped` with the mode's objective of `source`."""
     objective = shaper.objective(source.grid, mode, OBJECTIVE_T_CONST, source.omega0)
@@ -95,7 +81,8 @@ def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
 
 def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
     """Objective overlap of a stack's shaped mode, and its efficiency."""
-    shaped = _shaped(segments, fld, mode)
+    # the shaped mode drops the common phase: the signal channel shares it, so it cancels
+    shaped = apply_transfer(fld, shaper.shaped_channel(segments, fld.grid, mode))
     overlap, band = objective_overlap(shaped, fld, mode)
     return OverlapReport(overlap, shaped.energy() / fld.energy(), band)
 

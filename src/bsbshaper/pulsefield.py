@@ -135,7 +135,7 @@ def _check_grids(a_grid: SpectralGrid, b_grid: SpectralGrid):
 
 def gaussian_pulse(grid: SpectralGrid, omega0: float, fwhm_intensity: float) -> SpectralField:
     """Flat-phase Gaussian with the given spectral intensity FWHM [rad/s], unit energy."""
-    if fwhm_intensity <= 0:
+    if not fwhm_intensity > 0:  # NaN fails too
         raise ValueError("fwhm_intensity must be positive")
     w = grid.omegas
     amp = np.exp(-2 * _LN2 * ((w - omega0) / fwhm_intensity) ** 2).astype(complex)

@@ -533,3 +533,25 @@ def test_overlap_rejects_a_source_with_several_peaks(tmp_path, capsys):
     assert main(["overlap", "--objective", "field", "--shaped", str(src),
                  "--source", str(src)]) == 1
     assert "several peaks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delay", ["nan", "inf", "0.0"])
+def test_ftsi_retrieve_rejects_a_bad_delay_hint_as_input(tmp_path, files, capsys, delay):
+    text = open(files["gram"]).read()
+    line = next(l for l in text.splitlines() if l.startswith("# delay_hint="))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace(line, "# delay_hint=" + delay))
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["ftsi", "retrieve", "--input", str(bad), "--output", str(tmp_path / "p.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "delay_hint must be finite and positive" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("yaml", ["n_samples: 4096.0", "nu_end_thz: abc", "material: [1]"])
+def test_yaml_value_of_the_wrong_type_exits_1(tmp_path, capsys, yaml):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml + "\n")
+    assert main(["figure", "fig2", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert "must be" in capsys.readouterr().err and _listing(tmp_path) == ["run.yaml"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bsbshaper import figures
-from bsbshaper.config import ConfigError, RunConfig, load_config, validate_config
+from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
+                              validate_config)
 
 
 def _read_csv(path):
@@ -99,3 +100,45 @@ def test_explicit_outdir_must_be_writable(tmp_path):
     with pytest.raises(ConfigError, match="outdir"):
         figures.run_figure_pipeline(RunConfig(outdir=str(tmp_path)), "fig2",
                                     outdir=str(tmp_path / "missing"))
+
+
+@pytest.mark.parametrize("nu_end", [float("inf"), 1e300])
+def test_validate_config_rejects_a_grid_that_overflows(nu_end):
+    with pytest.raises(ConfigError, match=r"grid \(n_samples, nu_start_thz, nu_end_thz\)"):
+        validate_config(RunConfig(nu_end_thz=nu_end))
+
+
+def test_zero_samples_is_a_config_error_not_a_division():
+    with pytest.raises(ValueError, match="n_samples must be a power of two, got 0"):
+        RunConfig(n_samples=0).grid()
+    with pytest.raises(ConfigError, match="n_samples must be a power of two, got 0"):
+        validate_config(RunConfig(n_samples=0))
+
+
+def test_zero_window_width_is_rejected_not_defaulted():
+    with pytest.raises(ValueError, match="window width"):
+        RunConfig(window_width_fs=0.0).window()
+    with pytest.raises(ConfigError, match=r"window \(window_order, window_width_fs\)"):
+        validate_config(RunConfig(window_width_fs=0.0))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("n_samples: 4096.0", "n_samples must be int, got 4096.0"),
+    ("nu_end_thz: abc", "nu_end_thz must be float, got 'abc'"),
+    ("material: [1]", r"material must be str, got \[1\]"),
+    ("carrier_nm: true", "carrier_nm must be float, got True"),
+    ("fwhm_thz: null", "fwhm_thz must be float, got None"),
+])
+def test_yaml_value_of_the_wrong_type_is_a_config_error(tmp_path, line, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_yaml_int_for_a_float_field_is_kept_as_given(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("carrier_nm: 1030\nwindow_width_fs: null\nthickness_um: 5\n")
+    loaded = load_config(path)
+    assert type(loaded.carrier_nm) is int and type(loaded.thickness_um) is int
+    assert "# config.carrier_nm=1030\n" in config_header(loaded)

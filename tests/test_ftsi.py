@@ -212,3 +212,18 @@ def test_table_writers_put_caller_lines_first(tmp_path, pulse100):
         write(obj, headed, head)
         assert headed.read_text() == head[0] + plain.read_text()
         assert read(headed).grid == obj.grid
+
+
+@pytest.mark.parametrize("delay", [np.nan, 0.0, -1e-12, np.inf])
+def test_interferogram_delay_must_be_finite_and_positive(grid, pulse100, delay):
+    with pytest.raises(ValueError, match="delay_hint"):
+        Interferogram(grid, np.ones(grid.n_samples), delay)
+    # an infinite delay already fails the fringe-sampling check
+    with pytest.raises((ValueError, UndersampledFringeError), match="delay"):
+        synthesize_interferogram(pulse100, pulse100, delay)
+
+
+@pytest.mark.parametrize("width", [np.nan, 0.0, -1e-13, np.inf])
+def test_window_width_must_be_finite_and_positive(width):
+    with pytest.raises(ValueError, match="window width"):
+        FtsiWindow(width=width)

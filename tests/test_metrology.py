@@ -5,8 +5,7 @@ from bsbshaper import dispersion, metrology, shaper
 from bsbshaper.errors import BsbShaperError, DegenerateMaterialError
 from bsbshaper.metrology import (achromat_design, band_from_field,
                                  mode_overlap, objective_overlap, score_compensator,
-                                 shaped_mode, stack_overlap, thickness_for_delay,
-                                 thickness_for_order)
+                                 stack_overlap, thickness_for_delay, thickness_for_order)
 from bsbshaper.pulsefield import SpectralField, SpectralGrid, apply_transfer, gaussian_pulse
 from bsbshaper.shaper import Compensator
 from conftest import OMEGA0_800, two_peak_field
@@ -90,7 +89,8 @@ def test_score_compensator_field_mode(quartz, pulse100):
 
 
 def test_shaped_mode_drops_common_phase(quartz, pulse100):
-    out = shaped_mode(Compensator(quartz, 5.4e-6), pulse100, "field")
+    segments = Compensator(quartz, 5.4e-6).segments
+    out = apply_transfer(pulse100, shaper.shaped_channel(segments, pulse100.grid, "field"))
     pair = shaper.transfer_exact(Compensator(quartz, 5.4e-6), pulse100.grid)
     np.testing.assert_allclose(out.amplitude, pulse100.amplitude * pair.h_y, atol=1e-15)
 
@@ -145,7 +145,7 @@ def test_order_design_rejects_nan(quartz):
                                      ("envelope-half", 45.0)])
 def test_objective_overlap_is_the_device_scaled_overlap(quartz, pulse100, mode, um):
     comp = Compensator(quartz, um * 1e-6)
-    shaped = shaped_mode(comp, pulse100, mode)
+    shaped = apply_transfer(pulse100, shaper.shaped_channel(comp.segments, pulse100.grid, mode))
     t_const = abs(dispersion.delta_k_prime(quartz, OMEGA0_800) * comp.thickness / 2)
     device = apply_transfer(pulse100, shaper.objective(pulse100.grid, mode, t_const,
                                                        pulse100.omega0))

@@ -141,3 +141,9 @@ def test_field_rejects_non_finite_samples(pulse100, bad):
     amp[100] = bad
     with pytest.raises(ValueError, match="finite"):
         SpectralField(pulse100.grid, amp, pulse100.omega0)
+
+
+@pytest.mark.parametrize("fwhm", [np.nan, 0.0, -1.0])
+def test_gaussian_pulse_rejects_a_width_that_is_not_positive(grid, fwhm):
+    with pytest.raises(ValueError, match="fwhm_intensity must be positive"):
+        gaussian_pulse(grid, OMEGA0_800, fwhm)
