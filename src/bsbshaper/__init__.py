@@ -1,8 +1,7 @@
 """Time differentiation of ultrashort pulses with birefringent compensators."""
 
-from .dispersion import (Material, SellmeierModel, delta_k, delta_k_prime,
-                         delta_n, delta_n_group, get_material, group_index,
-                         load_materials, omega1, refractive_index)
+from .dispersion import (Contrast, Material, SellmeierModel, contrast, get_material,
+                         group_index, load_materials, refractive_index)
 from .ftsi import (FtsiWindow, Interferogram, JumpReport, RetrievedPhase,
                    detect_phase_jump, relative_phase, retrieve_phase,
                    subtract_reference, synthesize_interferogram, unwrap,

@@ -21,7 +21,6 @@ from .shaper import Compensator
 
 VALIDATION_EXIT = 1
 DEGENERACY_EXIT = 2
-_OBJECTIVE_MODES = {"field": "field", "envelope": "envelope-half"}  # overlap --objective
 
 
 class _Parser(argparse.ArgumentParser):  # usage errors exit 1, not argparse's 2
@@ -54,22 +53,18 @@ def _config_from(args) -> RunConfig:
 
 def _cmd_material_info(args):
     material = dispersion.get_material(args.name)
-    wl_um = args.wavelength * 1e-3
     omega = 2 * np.pi * dispersion.C_LIGHT / (args.wavelength * 1e-9)
-    n_o = dispersion.refractive_index(material.ordinary, wl_um)
-    n_e = dispersion.refractive_index(material.extraordinary, wl_um)
-    ng_o = dispersion.group_index(material.ordinary, wl_um)
-    ng_e = dispersion.group_index(material.extraordinary, wl_um)
-    w1 = dispersion.omega1(material, omega)
+    c = dispersion.contrast(material, omega)
+    w1 = c.omega1
     print(f"material: {material.name}")
     print(f"citation: {material.citation}")
     print(f"wavelength_nm: {args.wavelength}")
-    print(f"n_o: {n_o:.8f}")
-    print(f"n_e: {n_e:.8f}")
-    print(f"n_g_o: {ng_o:.8f}")
-    print(f"n_g_e: {ng_e:.8f}")
-    print(f"delta_n: {n_e - n_o:.6e}")
-    print(f"delta_n_g: {ng_e - ng_o:.6e}")
+    print(f"n_o: {c.n_o:.8f}")
+    print(f"n_e: {c.n_e:.8f}")
+    print(f"n_g_o: {c.n_g_o:.8f}")
+    print(f"n_g_e: {c.n_g_e:.8f}")
+    print(f"delta_n: {c.delta_n:.6e}")
+    print(f"delta_n_g: {c.delta_n_group:.6e}")
     print(f"omega1_over_omega0: {w1 / omega:.6f}")
     print(f"omega1_ordinary_thz: {w1 / (2e12 * np.pi):.4f}")
 
@@ -124,11 +119,11 @@ def _cmd_design_sweep(args):
     lengths = np.geomspace(args.lmin_um, args.lmax_um, args.points) * 1e-6
     reports = [metrology.score_compensator(Compensator(material, float(length)), pulse,
                                            config.mode) for length in lengths]
+    c = dispersion.contrast(material, config.omega0)
     write_table(args.output, [config_header(config)],
                 ["thickness_um", "delay_fs", "order", "overlap", "efficiency"],
-                [lengths * 1e6,
-                 dispersion.delta_k_prime(material, config.omega0) * lengths * 1e15,
-                 dispersion.delta_k(material, config.omega0) * lengths / (2 * np.pi),
+                [lengths * 1e6, c.delta_k_prime * lengths * 1e15,
+                 c.delta_k * lengths / (2 * np.pi),
                  [r.overlap for r in reports], [r.efficiency for r in reports]])
     print(args.output)
 
@@ -190,7 +185,7 @@ def _cmd_ftsi_jump(args):
 def _cmd_overlap(args):
     overlap, band = metrology.objective_overlap(read_field_csv(args.shaped),
                                                 read_field_csv(args.source),
-                                                _OBJECTIVE_MODES[args.objective])
+                                                _config_from(args).mode)
     print(f"overlap: {overlap:.8f}")
     print(f"band_rad_per_s: {band[0]!r} {band[1]!r}")
 
@@ -250,11 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--without", dest="without_device", required=True)
     _action(ftsi_, "jump", _cmd_ftsi_jump, ("carrier_nm",), ["input"])
 
-    p = _action(sub, "overlap", _cmd_overlap,
-                help="score a shaped field against an objective mode")
-    p.add_argument("--objective", choices=tuple(_OBJECTIVE_MODES), required=True)
-    p.add_argument("--shaped", required=True, help="field CSV of the shaped mode")
-    p.add_argument("--source", required=True, help="field CSV of the source pulse")
+    _action(sub, "overlap", _cmd_overlap, ("mode",), ["shaped", "source"],
+            help="score a shaped field against the mode's objective of a source field")
 
     figure_fields = [f for f in FIELD_TYPES if f not in ("mode", "material_b")]  # figure fixes mode
     p = _action(sub, "figure", _cmd_figure, figure_fields,

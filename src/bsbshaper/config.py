@@ -117,12 +117,9 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.mode not in shaper.MODES:
         problems.append(f"mode must be one of {shaper.MODES}, got {config.mode!r}")
     # each comparison is written so that NaN fails it
-    if not config.carrier_nm > 0:
-        problems.append("carrier_nm must be positive")
-    if not config.fwhm_thz > 0:
-        problems.append("fwhm_thz must be positive")
-    if not config.tau_ftsi_fs > 0:
-        problems.append("tau_ftsi_fs must be positive")
+    for name in ("carrier_nm", "fwhm_thz", "tau_ftsi_fs"):
+        if not 0 < getattr(config, name) < np.inf:
+            problems.append(f"{name} must be positive and finite")
     if not abs(config.extra_phase_gdd_fs2) < float("inf"):
         problems.append("extra_phase_gdd_fs2 must be finite")
     if problems:

@@ -1,15 +1,17 @@
 """Sellmeier dispersion models for uniaxial birefringent crystals.
 
-Provides phase index, group index, the wavevector difference between the
-extraordinary and ordinary axes and its frequency derivative, and the
-characteristic frequency where the linearized birefringent response crosses
-zero.  Wavelengths in the coefficient data are in micrometers; every public
-operation takes SI arguments (rad/s) unless noted.
+Provides phase index, group index and `contrast`, the one query of a crystal
+at a frequency: the wavevector difference between the extraordinary and
+ordinary axes, its frequency derivative, and the characteristic frequency
+where the linearized birefringent response crosses zero.  Wavelengths in the
+coefficient data are in micrometers; every public operation takes SI
+arguments (rad/s) unless noted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -68,61 +70,81 @@ def refractive_index(model: SellmeierModel, wl_um) -> np.ndarray | float:
     return np.sqrt(n2)
 
 
-def _indices(model: SellmeierModel, wl_um):
-    """(n, n_g) of one axis from one phase-index evaluation; n_g = n - lambda dn/dlambda."""
-    n = refractive_index(model, wl_um)
+def _group_from_phase(model: SellmeierModel, n, wl_um):
+    """n_g = n - lambda dn/dlambda of one axis from its phase index n, without re-evaluating it."""
     s = np.asarray(wl_um, dtype=float) ** 2
     # d(n^2)/dl = -2 l sum B C/(s-C)^2, so n_g = n + (s/n) sum B C/(s-C)^2
     correction = sum(b * c / (s - c) ** 2 for b, c in model.terms)
-    return n, n + s * correction / n
+    return n + s * correction / n
 
 
 def group_index(model: SellmeierModel, wl_um) -> np.ndarray | float:
     """Group index n_g = n - lambda dn/dlambda, analytic derivative."""
-    return _indices(model, wl_um)[1]
+    return _group_from_phase(model, refractive_index(model, wl_um), wl_um)
 
 
-def _wl_um(omega) -> np.ndarray | float:
-    return 2 * np.pi * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
+@dataclass(frozen=True, eq=False)
+class Contrast:
+    """A uniaxial crystal at angular frequency omega [rad/s]; build it with `contrast`.
 
-
-def delta_n(material: Material, omega):
-    """n_e - n_o at angular frequency omega [rad/s]."""
-    wl = _wl_um(omega)
-    return refractive_index(material.extraordinary, wl) - refractive_index(material.ordinary, wl)
-
-
-def delta_n_group(material: Material, omega):
-    """n_g,e - n_g,o at angular frequency omega [rad/s]."""
-    wl = _wl_um(omega)
-    return group_index(material.extraordinary, wl) - group_index(material.ordinary, wl)
-
-
-def delta_k(material: Material, omega):
-    """Wavevector difference k_e - k_o [rad/m] at omega [rad/s]."""
-    return delta_n(material, omega) * np.asarray(omega, dtype=float) / C_LIGHT
-
-
-def delta_k_prime(material: Material, omega):
-    """Frequency derivative of delta_k [s/m]: group-delay difference per length."""
-    return delta_n_group(material, omega) / C_LIGHT
-
-
-def omega1(material: Material, omega0: float) -> float:
-    """Zero crossing of the linearized birefringent response [rad/s].
-
-    omega1 = omega0 - delta_k/delta_k' evaluated at omega0; equals zero for
-    a dispersionless material (pure time shift).
+    Holds one phase-index evaluation per axis.  The group indices derive from
+    those same values, on first use.
     """
-    wl = _wl_um(omega0)
-    n_e, ng_e = _indices(material.extraordinary, wl)
-    n_o, ng_o = _indices(material.ordinary, wl)
-    dng = float(ng_e - ng_o)
-    if dng == 0.0:
-        raise DegenerateMaterialError(
-            f"material {material.name!r} has zero group-index contrast at the carrier"
-        )
-    return omega0 * (dng - float(n_e - n_o)) / dng
+
+    material: Material
+    omega: float | np.ndarray  # rad/s, as given
+    wl_um: float | np.ndarray
+    n_o: float | np.ndarray
+    n_e: float | np.ndarray
+
+    @cached_property
+    def n_g_o(self):
+        return _group_from_phase(self.material.ordinary, self.n_o, self.wl_um)
+
+    @cached_property
+    def n_g_e(self):
+        return _group_from_phase(self.material.extraordinary, self.n_e, self.wl_um)
+
+    @property
+    def delta_n(self):
+        """n_e - n_o."""
+        return self.n_e - self.n_o
+
+    @property
+    def delta_n_group(self):
+        """n_g,e - n_g,o."""
+        return self.n_g_e - self.n_g_o
+
+    @property
+    def delta_k(self):
+        """Wavevector difference k_e - k_o [rad/m]."""
+        return self.delta_n * self.omega / C_LIGHT
+
+    @property
+    def delta_k_prime(self):
+        """Frequency derivative of delta_k [s/m]: group-delay difference per length."""
+        return self.delta_n_group / C_LIGHT
+
+    @property
+    def omega1(self) -> float:
+        """Zero crossing of the linearized birefringent response [rad/s], for a scalar omega.
+
+        omega1 = omega - delta_k/delta_k' at omega; equals zero for a
+        dispersionless material (pure time shift).
+        """
+        dng = float(self.delta_n_group)
+        if dng == 0.0:
+            raise DegenerateMaterialError(
+                f"material {self.material.name!r} has zero group-index contrast at the carrier"
+            )
+        return self.omega * (dng - float(self.delta_n)) / dng
+
+
+def contrast(material: Material, omega) -> Contrast:
+    """The material's two axes at omega [rad/s]: one Sellmeier evaluation per axis."""
+    wl = 2 * np.pi * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
+    return Contrast(material, omega, wl, refractive_index(material.ordinary, wl),
+                    refractive_index(material.extraordinary, wl))
 
 
 def _axis_model(name, axis, data) -> SellmeierModel:
@@ -134,14 +156,9 @@ def _axis_model(name, axis, data) -> SellmeierModel:
     )
 
 
-def load_materials(path=None) -> dict[str, Material]:
-    """Load the bundled material database (or a user-supplied YAML file)."""
-    if path is None:
-        text = resources.files("bsbshaper.data").joinpath("materials.yaml").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    raw = yaml.safe_load(text)
+def load_materials() -> dict[str, Material]:
+    """Load the bundled material database."""
+    raw = yaml.safe_load(resources.files("bsbshaper.data").joinpath("materials.yaml").read_text())
     raw.pop("version", None)
     materials = {}
     for name, entry in raw.items():

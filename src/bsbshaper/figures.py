@@ -48,7 +48,8 @@ def _setup(config: RunConfig):
 def _ratio_pipeline(config: RunConfig, tag: str, outdir):
     pulse, comp, pair, head = _setup(config)
     grid, mode = pulse.grid, config.mode
-    t_const = abs(dispersion.delta_k_prime(comp.material, config.omega0) * comp.thickness / 2)
+    t_const = abs(dispersion.contrast(comp.material, config.omega0).delta_k_prime
+                  * comp.thickness / 2)
     # before the response, so that zero thickness fails on its constant, not on the ratio
     objective = shaper.objective(grid, mode, t_const, config.omega0)
     resp = shaper.effective_response(pair, mode)

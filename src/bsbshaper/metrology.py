@@ -92,19 +92,12 @@ def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> Overl
     return _score(comp.segments, fld, mode)
 
 
-def _contrasts(material: Material, omega0: float) -> tuple[float, float]:
-    """(delta_k, delta_k') at the carrier."""
-    return (float(dispersion.delta_k(material, omega0)),
-            float(dispersion.delta_k_prime(material, omega0)))
-
-
-def _solution_for_length(material: Material, omega0: float, length: float,
-                         dk: float, dkp: float) -> DesignSolution:
+def _solution_for_length(c: dispersion.Contrast, length: float, dk: float, dkp: float) -> DesignSolution:
     return DesignSolution(
-        segments=((material, length),),
+        segments=((c.material, length),),
         achieved_delay=dkp * length,
         achieved_order=dk * length / (2 * np.pi),
-        achieved_omega1=dispersion.omega1(material, omega0),
+        achieved_omega1=c.omega1,
         residuals={},
     )
 
@@ -113,20 +106,22 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
     """Thickness giving group-delay difference tau: L = tau / delta_k'(omega0)."""
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
-    dk, dkp = _contrasts(material, omega0)
+    c = dispersion.contrast(material, omega0)
+    dk, dkp = float(c.delta_k), float(c.delta_k_prime)
     if dkp == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no group-index contrast")
-    return _solution_for_length(material, omega0, tau / dkp, dk, dkp)
+    return _solution_for_length(c, tau / dkp, dk, dkp)
 
 
 def thickness_for_order(material: Material, omega0: float, order: float) -> DesignSolution:
     """Thickness with delta_k(omega0) L / 2 = order * pi (half-integer orders allowed)."""
     if not order >= 0:
         raise ValueError("order must be >= 0")
-    dk, dkp = _contrasts(material, omega0)
+    c = dispersion.contrast(material, omega0)
+    dk, dkp = float(c.delta_k), float(c.delta_k_prime)
     if dk == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no birefringence at the carrier")
-    return _solution_for_length(material, omega0, 2 * order * np.pi / dk, dk, dkp)
+    return _solution_for_length(c, 2 * order * np.pi / dk, dk, dkp)
 
 
 def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
@@ -139,9 +134,10 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
     """
     if not np.isfinite(target_tau):
         raise ValueError("target_tau must be finite")
-    dkp = np.array([float(dispersion.delta_k_prime(m, omega0)) for m in (mat_a, mat_b)])
+    contrasts = [dispersion.contrast(m, omega0) for m in (mat_a, mat_b)]
+    dkp = np.array([float(c.delta_k_prime) for c in contrasts])
     # second row scaled by 1/omega0 so both rows share units before conditioning
-    dk = np.array([float(dispersion.delta_k(m, omega0)) for m in (mat_a, mat_b)])
+    dk = np.array([float(c.delta_k) for c in contrasts])
     system = np.vstack([dkp, dk / omega0])
     cond = np.linalg.cond(system)
     if not np.isfinite(cond) or cond > ACHROMAT_MAX_CONDITION:

@@ -63,12 +63,10 @@ class SpectralGrid:
         return cls(int(n), float(start), float(step))
 
 
-def default_grid(n_samples: int = 4096,
-                 nu_start: float = 150e12,
-                 nu_end: float = 600e12) -> SpectralGrid:
-    """4096 samples over 150-600 THz unless overridden."""
-    step = 2 * np.pi * (nu_end - nu_start) / n_samples
-    return SpectralGrid(n_samples, 2 * np.pi * nu_start, step)
+def default_grid(n_samples: int = 4096) -> SpectralGrid:
+    """n_samples (4096 unless given) over 150-600 THz."""
+    step = 2 * np.pi * (600e12 - 150e12) / n_samples
+    return SpectralGrid(n_samples, 2 * np.pi * 150e12, step)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,8 @@ def _wavevectors(material: Material, grid: SpectralGrid) -> tuple[np.ndarray, np
     Cached per (material, grid); a grid outside the validity window raises on
     every call, because an exception is not cached.
     """
-    w = grid.omegas
-    wl = 2 * np.pi * C_LIGHT / w * 1e6
-    n_e = dispersion.refractive_index(material.extraordinary, wl)
-    n_o = dispersion.refractive_index(material.ordinary, wl)
-    tables = ((n_e - n_o) * w / C_LIGHT, (n_e + n_o) * w / C_LIGHT)
+    c = dispersion.contrast(material, grid.omegas)
+    tables = (c.delta_k, (c.n_e + c.n_o) * grid.omegas / C_LIGHT)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -209,9 +206,7 @@ def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,
     anchored at omega0 instead.
     """
     _mode_axes(mode)  # rejects an unknown mode
-    slope = dispersion.delta_k_prime(comp.material, omega0) * comp.thickness / 2
-    if mode == "field":
-        w_zero = dispersion.omega1(comp.material, omega0)
-    else:
-        w_zero = omega0
+    c = dispersion.contrast(comp.material, omega0)
+    slope = c.delta_k_prime * comp.thickness / 2
+    w_zero = c.omega1 if mode == "field" else omega0
     return TransferFunction(grid, -1j * (grid.omegas - w_zero) * slope)

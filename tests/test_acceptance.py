@@ -28,15 +28,15 @@ def _report(name, ok, detail):
 
 
 def test_criterion_1_quartz_birefringence(quartz):
-    dn = float(dispersion.delta_n(quartz, OMEGA0_800))
-    dng = float(dispersion.delta_n_group(quartz, OMEGA0_800))
+    dn = float(dispersion.contrast(quartz, OMEGA0_800).delta_n)
+    dng = float(dispersion.contrast(quartz, OMEGA0_800).delta_n_group)
     ok = abs(dn - 8.9e-3) <= 0.02 * 8.9e-3 and abs(dng - 9.5e-3) <= 0.02 * 9.5e-3
     _report("criterion 1 quartz dispersion contrast", ok,
             f"delta_n={dn:.4e} (target 8.9e-3 +-2%), delta_n_g={dng:.4e} (target 9.5e-3 +-2%)")
 
 
 def test_criterion_2_omega1(quartz):
-    w1 = dispersion.omega1(quartz, OMEGA0_800)
+    w1 = dispersion.contrast(quartz, OMEGA0_800).omega1
     ratio = w1 / OMEGA0_800
     nu1_thz = w1 / (2e12 * np.pi)
     ok = abs(ratio - 0.063) <= 0.1 * 0.063 and abs(nu1_thz - 24.0) <= 0.1 * 24.0
@@ -54,7 +54,7 @@ def test_criterion_3_design_thicknesses(quartz):
 
 
 def test_criterion_4_conversion_ratio(quartz):
-    ratio = float(np.sin(dispersion.delta_k(quartz, OMEGA0_800) * 5.4e-6 / 2) ** 2)
+    ratio = float(np.sin(dispersion.contrast(quartz, OMEGA0_800).delta_k * 5.4e-6 / 2) ** 2)
     ok = abs(ratio - 0.036) <= 0.004
     _report("criterion 4 shaped/unshaped power ratio", ok,
             f"sin^2(dk L/2)={ratio:.4f} at 5.4 um (target 0.036 +-0.004)")

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_overlap_command(tmp_path, capsys):
     main(["pulse", "synth", "--output", str(src)])
     shaped = tmp_path / "shaped.csv"
     main(["pulse", "derive", "--input", str(src), "--output", str(shaped)])
-    assert main(["overlap", "--objective", "field", "--shaped", str(shaped),
+    assert main(["overlap", "--mode", "field", "--shaped", str(shaped),
                  "--source", str(src)]) == 0
     out = capsys.readouterr().out
     assert "overlap: 1.00000000" in out
@@ -201,7 +202,7 @@ def test_pulse_derive_envelope_is_the_objective(tmp_path, capsys):
     expected = -1j * (source.grid.omegas - source.omega0) * (0.085 * 1e-15) * source.amplitude
     assert np.array_equal(read_field_csv(der).amplitude, expected)
 
-    assert main(["overlap", "--objective", "envelope", "--shaped", str(der),
+    assert main(["overlap", "--mode", "envelope-half", "--shaped", str(der),
                  "--source", str(src)]) == 0
     assert "overlap: 1.00000000" in capsys.readouterr().out
 
@@ -231,7 +232,7 @@ _CONFIG_FLAGS = {  # action: the RunConfig fields its handler reads
     ("ftsi", "retrieve"): {"window_order", "window_width_fs"},
     ("ftsi", "subtract"): set(),
     ("ftsi", "jump"): {"carrier_nm"},
-    ("overlap",): set(),
+    ("overlap",): {"mode"},
     ("figure",): set(_FIELDS) - {"mode", "material_b"},
 }
 
@@ -527,10 +528,24 @@ def test_non_finite_grid_line_fails_at_the_boundary(tmp_path, files, capsys, arg
     assert _listing(tmp_path) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "delay", "--carrier-nm", "inf"],
+    ["pulse", "synth", "--fwhm-thz", "inf", "--output", "{tmp}/pulse.csv"],
+    ["figure", "fig3", "--tau-ftsi-fs", "inf", "--outdir", "{tmp}"],
+], ids=["carrier_nm", "fwhm_thz", "tau_ftsi_fs"])
+def test_infinite_input_is_rejected_before_any_work(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on the way to the error fails the test
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "must be positive and finite" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == []
+
+
 def test_overlap_rejects_a_source_with_several_peaks(tmp_path, capsys):
     src = tmp_path / "two_peaks.csv"
     write_field_csv(two_peak_field(default_grid()), src)
-    assert main(["overlap", "--objective", "field", "--shaped", str(src),
+    assert main(["overlap", "--mode", "field", "--shaped", str(src),
                  "--source", str(src)]) == 1
     assert "several peaks" in capsys.readouterr().err
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsbshaper import dispersion
-from bsbshaper.dispersion import (Material, SellmeierModel, delta_k,
-                                  delta_k_prime, delta_n, delta_n_group,
+from bsbshaper.dispersion import (Material, SellmeierModel, contrast,
                                   get_material, group_index, load_materials,
-                                  omega1, refractive_index)
+                                  refractive_index)
 from bsbshaper.errors import DegenerateMaterialError, WavelengthRangeError
+from bsbshaper.pulsefield import default_grid
 
 
 def test_quartz_indices_at_800nm(quartz):
@@ -18,23 +18,23 @@ def test_quartz_indices_at_800nm(quartz):
 
 
 def test_quartz_birefringence_at_800nm(quartz, omega0):
-    assert float(delta_n(quartz, omega0)) == pytest.approx(8.894e-3, rel=1e-3)
-    assert float(delta_n_group(quartz, omega0)) == pytest.approx(9.469e-3, rel=1e-3)
+    assert float(contrast(quartz, omega0).delta_n) == pytest.approx(8.894e-3, rel=1e-3)
+    assert float(contrast(quartz, omega0).delta_n_group) == pytest.approx(9.469e-3, rel=1e-3)
 
 
 def test_delta_k_consistent_with_delta_n(quartz, omega0):
-    dk = float(delta_k(quartz, omega0))
-    assert dk == pytest.approx(float(delta_n(quartz, omega0)) * omega0
+    dk = float(contrast(quartz, omega0).delta_k)
+    assert dk == pytest.approx(float(contrast(quartz, omega0).delta_n) * omega0
                                / dispersion.C_LIGHT, rel=1e-14)
 
 
 def test_delta_k_prime_is_group_contrast_over_c(quartz, omega0):
-    assert float(delta_k_prime(quartz, omega0)) == pytest.approx(
-        float(delta_n_group(quartz, omega0)) / dispersion.C_LIGHT, rel=1e-14)
+    assert float(contrast(quartz, omega0).delta_k_prime) == pytest.approx(
+        float(contrast(quartz, omega0).delta_n_group) / dispersion.C_LIGHT, rel=1e-14)
 
 
 def test_omega1_quartz(quartz, omega0):
-    w1 = omega1(quartz, omega0)
+    w1 = contrast(quartz, omega0).omega1
     assert w1 / omega0 == pytest.approx(0.0607, abs=5e-4)
     # ordinary frequency, not angular
     assert w1 / (2 * np.pi) == pytest.approx(22.7e12, rel=0.01)
@@ -66,7 +66,7 @@ def test_pole_inside_validity_window_rejected():
 def test_degenerate_material_has_no_omega1(quartz, omega0):
     iso = Material("iso", quartz.ordinary, quartz.ordinary)
     with pytest.raises(DegenerateMaterialError):
-        omega1(iso, omega0)
+        contrast(iso, omega0).omega1
 
 
 def test_get_material_unknown_name_lists_choices():
@@ -95,10 +95,32 @@ def test_kdp_indices_physical_over_validity_window(wl):
 @given(st.floats(min_value=0.25, max_value=2.0))
 def test_quartz_positive_uniaxial(wl):
     quartz = get_material("quartz")
-    assert float(delta_n(quartz, 2 * np.pi * dispersion.C_LIGHT / (wl * 1e-6))) > 0
+    assert float(contrast(quartz, 2 * np.pi * dispersion.C_LIGHT / (wl * 1e-6)).delta_n) > 0
 
 
 @pytest.mark.parametrize("wl", [float("nan"), np.array([0.8, np.nan])])
 def test_nan_wavelength_rejected(quartz, wl):
     with pytest.raises(WavelengthRangeError):
         refractive_index(quartz.ordinary, wl)
+
+
+@pytest.mark.parametrize("omega", [2 * np.pi * dispersion.C_LIGHT / 800e-9,
+                                   default_grid().omegas], ids=["carrier", "grid"])
+def test_contrast_is_bit_equal_to_the_inline_formulas(quartz, omega):
+    w = np.asarray(omega, dtype=float)
+    wl = 2 * np.pi * dispersion.C_LIGHT / w * 1e6
+    n_o = refractive_index(quartz.ordinary, wl)
+    n_e = refractive_index(quartz.extraordinary, wl)
+    ng_o = group_index(quartz.ordinary, wl)
+    ng_e = group_index(quartz.extraordinary, wl)
+    c = contrast(quartz, omega)
+    for got, want in [(c.n_o, n_o), (c.n_e, n_e), (c.n_g_o, ng_o), (c.n_g_e, ng_e),
+                      (c.delta_n, n_e - n_o), (c.delta_n_group, ng_e - ng_o),
+                      (c.delta_k, (n_e - n_o) * w / dispersion.C_LIGHT),
+                      (c.delta_k_prime, (ng_e - ng_o) / dispersion.C_LIGHT)]:
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+    if w.ndim == 0:
+        dng = float(ng_e - ng_o)
+        assert type(c.omega1) is float
+        assert c.omega1 == omega * (dng - float(n_e - n_o)) / dng

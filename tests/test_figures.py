@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsbshaper import figures
+from bsbshaper import dispersion, figures, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
 
@@ -142,3 +142,23 @@ def test_yaml_int_for_a_float_field_is_kept_as_given(tmp_path):
     loaded = load_config(path)
     assert type(loaded.carrier_nm) is int and type(loaded.thickness_um) is int
     assert "# config.carrier_nm=1030\n" in config_header(loaded)
+
+
+@pytest.mark.parametrize("key", ["carrier_nm", "fwhm_thz", "tau_ftsi_fs"])
+def test_validate_config_rejects_infinity(key):
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+        validate_config(RunConfig(**{key: float("inf")}))
+
+
+def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
+    """With the grid's wavevector table warm, each carrier query evaluates each axis once."""
+    config = RunConfig(outdir=str(tmp_path))
+    shaper._wavevectors(dispersion.get_material(config.material), config.grid())
+    calls = []
+    index = dispersion.refractive_index
+    monkeypatch.setattr(dispersion, "refractive_index",
+                        lambda model, wl: calls.append(model) or index(model, wl))
+    for figure, expected in [("fig2", 6), ("fig3", 2), ("fig4", 6), ("fig5", 2)]:
+        calls.clear()
+        figures.run_figure_pipeline(config, figure)
+        assert len(calls) == expected, figure

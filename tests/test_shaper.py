@@ -34,7 +34,7 @@ def test_transfer_is_unitary(quartz, grid):
 def test_channel_values_match_birefringent_phase(quartz, grid):
     comp = _comp(quartz, 5.4)
     pair = transfer_exact(comp, grid)
-    psi_half = dispersion.delta_k(quartz, grid.omegas) * comp.thickness / 2
+    psi_half = dispersion.contrast(quartz, grid.omegas).delta_k * comp.thickness / 2
     np.testing.assert_allclose(pair.h_x, np.cos(psi_half), atol=1e-14)
     np.testing.assert_allclose(pair.h_y, 1j * np.sin(psi_half), atol=1e-14)
 
@@ -57,7 +57,7 @@ def test_full_channel_includes_common_phase(quartz, grid):
 def test_effective_response_field_is_minus_i_tan(quartz, grid):
     comp = _comp(quartz, 5.4)
     resp = effective_response(transfer_exact(comp, grid), "field")
-    psi_half = dispersion.delta_k(quartz, grid.omegas) * comp.thickness / 2
+    psi_half = dispersion.contrast(quartz, grid.omegas).delta_k * comp.thickness / 2
     np.testing.assert_allclose(resp.values, -1j * np.tan(psi_half), atol=1e-12)
     assert not resp.masked.any()
 
@@ -65,7 +65,7 @@ def test_effective_response_field_is_minus_i_tan(quartz, grid):
 def test_effective_response_half_order_is_i_cot(quartz, grid):
     comp = _comp(quartz, 44.97)
     resp = effective_response(transfer_exact(comp, grid), "envelope-half")
-    psi_half = dispersion.delta_k(quartz, grid.omegas) * comp.thickness / 2
+    psi_half = dispersion.contrast(quartz, grid.omegas).delta_k * comp.thickness / 2
     keep = ~resp.masked
     np.testing.assert_allclose(resp.values[keep], 1j / np.tan(psi_half[keep]), atol=1e-10)
 
@@ -93,8 +93,8 @@ def test_segment_stack_adds_phases(quartz, kdp):
     grid = SpectralGrid(4096, 2 * np.pi * 185e12, 2 * np.pi * 380e12 / 4096)
     segs = ((quartz, 5e-6), (kdp, -2e-6))
     pair = transfer_exact_segments(segs, grid)
-    psi_half = (dispersion.delta_k(quartz, grid.omegas) * 5e-6
-                - dispersion.delta_k(kdp, grid.omegas) * 2e-6) / 2
+    psi_half = (dispersion.contrast(quartz, grid.omegas).delta_k * 5e-6
+                - dispersion.contrast(kdp, grid.omegas).delta_k * 2e-6) / 2
     np.testing.assert_allclose(pair.h_y, 1j * np.sin(psi_half), atol=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_first_order_field_crosses_zero_at_omega1(quartz, grid):
     # omega1 sits below the grid start; extrapolate the linear response to it
     comp = _comp(quartz, 5.4)
     resp = first_order_response(comp, grid, "field", OMEGA0_800)
-    w1 = dispersion.omega1(quartz, OMEGA0_800)
+    w1 = dispersion.contrast(quartz, OMEGA0_800).omega1
     v = resp.values.imag
     w = grid.omegas
     w_zero = w[0] - v[0] * (w[1] - w[0]) / (v[1] - v[0])
