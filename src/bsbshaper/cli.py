@@ -52,6 +52,8 @@ def _config_from(args) -> RunConfig:
 
 
 def _cmd_material_info(args):
+    if not 0 < args.wavelength < np.inf:  # NaN fails too
+        raise ConfigError(f"--wavelength must be finite and positive, got {args.wavelength!r} nm")
     material = dispersion.get_material(args.name)
     omega = 2 * np.pi * dispersion.C_LIGHT / (args.wavelength * 1e-9)
     c = dispersion.contrast(material, omega)

@@ -21,39 +21,38 @@ from .pulsefield import apply_transfer
 from .shaper import Compensator
 
 
-def _canonical_compensator(config: RunConfig) -> Compensator:
-    """Thickness from config, or the mode's canonical design (0.17 fs / order 1/2)."""
+def _canonical_design(config: RunConfig) -> metrology.DesignSolution:
+    """The plate from config, or the mode's canonical design (0.17 fs / order 1/2)."""
     material = dispersion.get_material(config.material)
     if config.thickness_um is not None:
-        return Compensator(material, config.thickness_um * 1e-6)
+        return metrology.plate_design(dispersion.contrast(material, config.omega0),
+                                      config.thickness_um * 1e-6)
     if config.mode == "field":
-        sol = metrology.thickness_for_delay(material, config.omega0, 0.17e-15)
-    else:
-        sol = metrology.thickness_for_order(material, config.omega0, 0.5)
-    return Compensator(material, sol.segments[0][1])
+        return metrology.thickness_for_delay(material, config.omega0, 0.17e-15)
+    return metrology.thickness_for_order(material, config.omega0, 0.5)
 
 
 _write_csv = write_table  # the one name every figure table is written through
 
 
 def _setup(config: RunConfig):
-    """(pulse, compensator, transfer pair, header lines) of a figure run."""
-    comp = _canonical_compensator(config)
+    """(pulse, design, compensator, transfer pair, header lines) of a figure run."""
+    design = _canonical_design(config)
+    comp = Compensator(*design.segments[0])
     pulse = config.pulse()
     head = [config_header(config), f"# compensator: {comp.material.name} "
             f"{comp.thickness * 1e6!r} um, mode {config.mode}\n"]
-    return pulse, comp, shaper.transfer_exact(comp, pulse.grid), head
+    return pulse, design, comp, shaper.transfer_exact(comp, pulse.grid), head
 
 
 def _ratio_pipeline(config: RunConfig, tag: str, outdir):
-    pulse, comp, pair, head = _setup(config)
-    grid, mode = pulse.grid, config.mode
-    t_const = abs(dispersion.contrast(comp.material, config.omega0).delta_k_prime
-                  * comp.thickness / 2)
+    pulse, design, _, pair, head = _setup(config)
+    grid, mode, omega0 = pulse.grid, config.mode, config.omega0
+    slope = design.achieved_delay / 2  # delta_k'(omega0) L/2, from the design's carrier query
     # before the response, so that zero thickness fails on its constant, not on the ratio
-    objective = shaper.objective(grid, mode, t_const, config.omega0)
+    objective = shaper.objective(grid, mode, abs(slope), omega0)
     resp = shaper.effective_response(pair, mode)
-    first = shaper.first_order_response(comp, grid, mode, config.omega0)
+    first = shaper.linear_response(grid, mode, omega0, slope, design.achieved_omega1)
     unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
 
@@ -71,7 +70,7 @@ def _ratio_pipeline(config: RunConfig, tag: str, outdir):
 
 
 def _phase_pipeline(config: RunConfig, tag: str, outdir):
-    pulse, comp, pair, head = _setup(config)
+    pulse, _, comp, pair, head = _setup(config)
     omega0 = config.omega0
     signal, shaped = shaper.channels(pair, config.mode)
     common = np.exp(1j * pair.common_phase)

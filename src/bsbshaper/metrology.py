@@ -16,12 +16,10 @@ import numpy as np
 
 from . import dispersion, shaper
 from .dispersion import Material
-from .errors import BsbShaperError, DegenerateMaterialError
-from .pulsefield import SpectralField, apply_transfer
+from .errors import DegenerateMaterialError
+from .pulsefield import SpectralField
 from .shaper import Compensator
 
-BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity
-OBJECTIVE_T_CONST = 1e-15  # s; any positive value: overlap is invariant to the objective's scale
 ACHROMAT_MAX_CONDITION = 1e8
 
 
@@ -42,49 +40,51 @@ class DesignSolution:
 
 
 def band_from_field(fld: SpectralField):
-    """(omega_lo, omega_hi) where the spectral intensity exceeds BAND_INTENSITY_FLOOR * peak.
+    """(omega_lo, omega_hi) of the field's band (SpectralField.band); several peaks raise."""
+    w = fld.grid.omegas[fld.band]
+    return float(w[0]), float(w[-1])
 
-    A spectrum with several peaks, whose samples above the floor are not contiguous, raises.
+
+def mode_overlap(a, b, band=None) -> float:
+    """|<a|b>|^2 / (<a|a><b|b>) restricted to the band; in [0, 1].
+
+    `a` and `b` are SpectralFields on a common grid, or amplitude arrays already on the band.
     """
-    power = np.abs(fld.amplitude) ** 2
-    idx = np.flatnonzero(power >= BAND_INTENSITY_FLOOR * power.max())
-    if idx[-1] - idx[0] + 1 != idx.size:
-        raise BsbShaperError("the spectrum has several peaks: its samples above the band floor "
-                             "are not contiguous")
-    w = fld.grid.omegas
-    return float(w[idx[0]]), float(w[idx[-1]])
-
-
-def mode_overlap(a: SpectralField, b: SpectralField, band=None) -> float:
-    """|<a|b>|^2 / (<a|a><b|b>) restricted to the band; in [0, 1]."""
-    if a.grid != b.grid:
-        raise ValueError("overlap requires a common grid")
-    if band is None:
-        sel = slice(None)
-    else:
+    if isinstance(a, SpectralField):
+        if a.grid != b.grid:
+            raise ValueError("overlap requires a common grid")
         w = a.grid.omegas
-        sel = (w >= band[0]) & (w <= band[1])
-    ax, bx = a.amplitude[sel], b.amplitude[sel]
-    na = np.sum(np.abs(ax) ** 2)
-    nb = np.sum(np.abs(bx) ** 2)
+        sel = slice(None) if band is None else (w >= band[0]) & (w <= band[1])
+        a, b = a.amplitude[sel], b.amplitude[sel]
+    na, nb = np.vdot(a, a).real, np.vdot(b, b).real
     if na == 0 or nb == 0:
         raise ValueError("zero-energy field on the overlap band")
-    return float(np.abs(np.sum(np.conj(ax) * bx)) ** 2 / (na * nb))
+    return float(abs(np.vdot(a, b)) ** 2 / (na * nb))
+
+
+def _objective(source: SpectralField, mode: str, amplitude: np.ndarray) -> np.ndarray:
+    """w' * amplitude on the source's band, the objective -i w' T A without the -i T it drops."""
+    band = source.band
+    return shaper.objective_weight(source.grid.omegas[band], mode, source.omega0) * amplitude[band]
 
 
 def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
     """(overlap, band_from_field(source)) of `shaped` with the mode's objective of `source`."""
-    objective = shaper.objective(source.grid, mode, OBJECTIVE_T_CONST, source.omega0)
-    band = band_from_field(source)
-    return mode_overlap(shaped, apply_transfer(source, objective), band), band
+    if shaped.grid != source.grid:
+        raise ValueError("overlap requires a common grid")
+    objective = _objective(source, mode, source.amplitude)
+    return mode_overlap(shaped.amplitude[source.band], objective), band_from_field(source)
 
 
 def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
-    """Objective overlap of a stack's shaped mode, and its efficiency."""
-    # the shaped mode drops the common phase: the signal channel shares it, so it cancels
-    shaped = apply_transfer(fld, shaper.shaped_channel(segments, fld.grid, mode))
-    overlap, band = objective_overlap(shaped, fld, mode)
-    return OverlapReport(overlap, shaped.energy() / fld.energy(), band)
+    """Objective overlap of a stack's shaped mode s A, and its efficiency.
+
+    s is real and drops the common phase, which the signal channel shares; w' is real too, so
+    the phase of A drops out as well and the modes are scored as s |A| and w' |A|.
+    """
+    shaped = shaper.shaped_factor(segments, fld.grid, mode) * fld.magnitude
+    overlap = mode_overlap(shaped[fld.band], _objective(fld, mode, fld.magnitude))
+    return OverlapReport(overlap, float(shaped @ shaped) / fld.power_sum, band_from_field(fld))
 
 
 def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> OverlapReport:
@@ -92,11 +92,12 @@ def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> Overl
     return _score(comp.segments, fld, mode)
 
 
-def _solution_for_length(c: dispersion.Contrast, length: float, dk: float, dkp: float) -> DesignSolution:
+def plate_design(c: dispersion.Contrast, length: float) -> DesignSolution:
+    """Delay, order and omega1 at the carrier c.omega of a plate of signed thickness `length`."""
     return DesignSolution(
         segments=((c.material, length),),
-        achieved_delay=dkp * length,
-        achieved_order=dk * length / (2 * np.pi),
+        achieved_delay=float(c.delta_k_prime) * length,
+        achieved_order=float(c.delta_k) * length / (2 * np.pi),
         achieved_omega1=c.omega1,
         residuals={},
     )
@@ -110,7 +111,7 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
     dk, dkp = float(c.delta_k), float(c.delta_k_prime)
     if dkp == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no group-index contrast")
-    return _solution_for_length(c, tau / dkp, dk, dkp)
+    return plate_design(c, tau / dkp)
 
 
 def thickness_for_order(material: Material, omega0: float, order: float) -> DesignSolution:
@@ -121,7 +122,7 @@ def thickness_for_order(material: Material, omega0: float, order: float) -> Desi
     dk, dkp = float(c.delta_k), float(c.delta_k_prime)
     if dk == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no birefringence at the carrier")
-    return _solution_for_length(c, 2 * order * np.pi / dk, dk, dkp)
+    return plate_design(c, 2 * order * np.pi / dk)
 
 
 def achromat_design(mat_a: Material, mat_b: Material, omega0: float,

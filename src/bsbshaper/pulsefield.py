@@ -13,10 +13,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, SupportLeakError
+from .errors import BsbShaperError, GridMismatchError, SupportLeakError
 from .io import meta_line, read_table, write_table
 
 EDGE_LEAK_FRACTION = 1e-6
+BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity, the edge of a field's band
 
 _LN2 = np.log(2.0)
 
@@ -90,7 +91,32 @@ class SpectralField:
 
     def energy(self) -> float:
         """integral |E(omega)|^2 domega on the grid."""
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.grid.omega_step)
+        return self.power_sum * self.grid.omega_step
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """|E(omega)|, computed once per field instance and read-only."""
+        magnitude = np.abs(self.amplitude)
+        magnitude.setflags(write=False)
+        return magnitude
+
+    @cached_property
+    def power_sum(self) -> float:
+        """sum of |E(omega)|^2 over the grid, computed once per field instance."""
+        return float(self.magnitude @ self.magnitude)
+
+    @cached_property
+    def band(self) -> slice:
+        """Index slice where |E(omega)|^2 reaches BAND_INTENSITY_FLOOR * peak, computed once.
+
+        A spectrum with several peaks, whose samples above the floor are not contiguous, raises.
+        """
+        power = self.magnitude ** 2
+        idx = np.flatnonzero(power >= BAND_INTENSITY_FLOOR * power.max())
+        if idx[-1] - idx[0] + 1 != idx.size:
+            raise BsbShaperError("the spectrum has several peaks: its samples above the band "
+                                 "floor are not contiguous")
+        return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
 @dataclass(frozen=True)

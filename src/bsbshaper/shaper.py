@@ -104,9 +104,15 @@ def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:
     return psi_half
 
 
+def _axis_factor(psi_half: np.ndarray, axis: str) -> np.ndarray:
+    """Real factor of an axis response: cos(psi/2) on the "x" axis, sin(psi/2) on "y"."""
+    return np.cos(psi_half) if axis == "x" else np.sin(psi_half)
+
+
 def _axis_response(psi_half: np.ndarray, axis: str) -> np.ndarray:
     """h_x = cos(psi/2) on the "x" axis, h_y = i sin(psi/2) on the "y" axis."""
-    return np.cos(psi_half).astype(complex) if axis == "x" else 1j * np.sin(psi_half)
+    factor = _axis_factor(psi_half, axis)
+    return factor.astype(complex) if axis == "x" else 1j * factor
 
 
 def _mode_axes(mode: str) -> tuple[str, str]:
@@ -141,6 +147,11 @@ def shaped_channel(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
     """
     shaped = _mode_axes(mode)[1]
     return _axis_response(_half_retardance(segments, grid), shaped)
+
+
+def shaped_factor(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
+    """Real s of the mode's shaped channel, which is s on the "x" axis and i s on "y"."""
+    return _axis_factor(_half_retardance(segments, grid), _mode_axes(mode)[1])
 
 
 def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +200,12 @@ def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFuncti
     return TransferFunction(grid, -1j * (grid.omegas - omega0) * t2)
 
 
+def objective_weight(omegas: np.ndarray, mode: str, omega0: float) -> np.ndarray:
+    """w' of the mode's objective -i w' T: omega for field, omega - omega0 otherwise."""
+    _mode_axes(mode)  # rejects an unknown mode
+    return omegas if mode == "field" else omegas - omega0
+
+
 def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
     """The mode's derivative objective: objective_r1 for field, objective_r2 otherwise."""
     _mode_axes(mode)  # rejects an unknown mode
@@ -199,14 +216,19 @@ def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> T
 
 def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,
                          omega0: float) -> TransferFunction:
-    """Linearized response around omega0.
+    """Linearized response of a compensator around omega0 (linear_response)."""
+    c = dispersion.contrast(comp.material, omega0)
+    return linear_response(grid, mode, omega0, c.delta_k_prime * comp.thickness / 2, c.omega1)
 
-    field: -i (omega - omega1) delta_k'(omega0) L/2, with omega1 the zero
-    crossing of the linearized birefringence; envelope modes: the same slope
-    anchored at omega0 instead.
+
+def linear_response(grid: SpectralGrid, mode: str, omega0: float, slope: float,
+                    omega1: float) -> TransferFunction:
+    """Linearized response of slope delta_k'(omega0) L/2 around omega0.
+
+    field: -i (omega - omega1) slope, with omega1 the zero crossing of the
+    linearized birefringence; envelope modes: the same slope anchored at omega0
+    instead.
     """
     _mode_axes(mode)  # rejects an unknown mode
-    c = dispersion.contrast(comp.material, omega0)
-    slope = c.delta_k_prime * comp.thickness / 2
-    w_zero = c.omega1 if mode == "field" else omega0
+    w_zero = omega1 if mode == "field" else omega0
     return TransferFunction(grid, -1j * (grid.omegas - w_zero) * slope)

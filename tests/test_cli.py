@@ -38,6 +38,13 @@ def test_material_info_unknown_material(capsys):
     assert "available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("wavelength", ["0", "-1", "nan", "inf"])
+def test_material_info_rejects_a_bad_wavelength(capsys, wavelength):
+    assert main(["material-info", "quartz", "--wavelength", wavelength]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--wavelength must be finite and positive" in captured.err
+
+
 def test_design_delay(capsys):
     assert main(["design", "delay", "--tau-fs", "0.17"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bsbshaper import dispersion, metrology, shaper
+from bsbshaper import dispersion, metrology, pulsefield, shaper
 from bsbshaper.cli import main
 from bsbshaper.errors import BsbShaperError, DegenerateMaterialError
 from bsbshaper.metrology import (achromat_design, band_from_field,
@@ -48,7 +50,7 @@ def test_band_from_field(pulse100):
     assert lo < pulse100.omega0 < hi
     power = np.abs(pulse100.amplitude) ** 2
     sel = (pulse100.grid.omegas >= lo) & (pulse100.grid.omegas <= hi)
-    assert power[sel].min() >= metrology.BAND_INTENSITY_FLOOR * power.max() * (1 - 1e-12)
+    assert power[sel].min() >= pulsefield.BAND_INTENSITY_FLOOR * power.max() * (1 - 1e-12)
 
 
 def test_band_from_field_rejects_several_peaks(grid):
@@ -154,7 +156,7 @@ def test_objective_overlap_is_the_device_scaled_overlap(quartz, pulse100, mode, 
     overlap, got_band = objective_overlap(shaped, pulse100, mode)
     assert got_band == band
     assert overlap == pytest.approx(mode_overlap(shaped, device, band), rel=1e-12)
-    assert score_compensator(comp, pulse100, mode).overlap == overlap
+    assert score_compensator(comp, pulse100, mode).overlap == pytest.approx(overlap, rel=1e-12)
 
 
 def test_sellmeier_evaluations_per_call(quartz, kdp, pulse100, monkeypatch):
@@ -178,3 +180,87 @@ def test_sellmeier_evaluations_per_call(quartz, kdp, pulse100, monkeypatch):
     shaper._wavevectors.cache_clear()
     assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == 2
     assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == 0
+
+
+def _complex_route(segments, pulse, mode):
+    """The score as complex fields: the shaped and objective modes, their overlap and energy ratio."""
+    shaped = apply_transfer(pulse, shaper.shaped_channel(segments, pulse.grid, mode))
+    objective = apply_transfer(pulse, shaper.objective(pulse.grid, mode, 1e-15, pulse.omega0))
+    return (mode_overlap(shaped, objective, band_from_field(pulse)),
+            shaped.energy() / pulse.energy())
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+@pytest.mark.parametrize("um", [5.4, -44.97, 0.5, 80.0])
+def test_score_matches_the_complex_route(quartz, pulse100, mode, um):
+    comp = Compensator(quartz, um * 1e-6)
+    overlap, efficiency = _complex_route(comp.segments, pulse100, mode)
+    report = score_compensator(comp, pulse100, mode)
+    # envelope-half overlaps of thin plates reach 1e-9, where rounding is absolute
+    assert report.overlap == pytest.approx(overlap, rel=1e-12, abs=1e-18)
+    assert report.efficiency == pytest.approx(efficiency, rel=1e-12)
+    assert report.band == band_from_field(pulse100)
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+def test_stack_overlap_matches_the_complex_route(quartz, kdp, mode):
+    pulse = gaussian_pulse(KDP_GRID, OMEGA0_800, 2 * np.pi * 100e12)
+    stack = achromat_design(quartz, kdp, OMEGA0_800, 0.0, 0.17e-15)
+    overlap, _ = _complex_route(stack.segments, pulse, mode)
+    assert stack_overlap(stack, pulse, mode) == pytest.approx(overlap, rel=1e-12, abs=1e-18)
+
+
+def test_zero_thickness_field_plate_has_no_shaped_mode(quartz, pulse100):
+    with pytest.raises(ValueError, match="zero-energy field on the overlap band"):
+        score_compensator(Compensator(quartz, 0.0), pulse100, "field")
+
+
+def test_scores_against_alternating_pulses_match_fresh_pulses(quartz, grid):
+    def pulses():
+        return [gaussian_pulse(grid, OMEGA0_800, 2 * np.pi * 100e12),
+                gaussian_pulse(grid, OMEGA0_800 * 1.1, 2 * np.pi * 60e12)]
+
+    shared = pulses()
+    for um, mode in [(5.4, "field"), (44.97, "envelope-half"), (90.0, "envelope-integer")] * 2:
+        for i in (0, 1):
+            comp = Compensator(quartz, um * 1e-6)
+            assert score_compensator(comp, shared[i], mode) == \
+                score_compensator(comp, pulses()[i], mode)
+
+
+def test_score_source_terms_are_cached_read_only(pulse100):
+    fld = SpectralField(pulse100.grid, pulse100.amplitude, pulse100.omega0)
+    assert fld.magnitude is fld.magnitude and fld.band is fld.band
+    np.testing.assert_array_equal(fld.magnitude, np.abs(pulse100.amplitude))
+    assert fld.power_sum == pytest.approx(np.sum(np.abs(pulse100.amplitude) ** 2), rel=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        fld.magnitude[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fld.grid.omegas[fld.band][0] = 0.0
+
+
+def test_cached_source_terms_leave_field_equality_and_repr_unchanged(pulse100):
+    fld = SpectralField(pulse100.grid, pulse100.amplitude, pulse100.omega0)
+    before = repr(fld)
+    band_from_field(fld), fld.power_sum
+    assert repr(fld) == before
+    assert fld == SpectralField(pulse100.grid, pulse100.amplitude, pulse100.omega0)
+    assert fld != SpectralField(pulse100.grid, pulse100.amplitude, 1.01 * pulse100.omega0)
+    assert [f.name for f in dataclasses.fields(fld)] == ["grid", "amplitude", "omega0"]
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+def test_objective_weight_is_the_objective(grid, mode):
+    values = shaper.objective(grid, mode, 1e-15, OMEGA0_800).values
+    np.testing.assert_array_equal(
+        -1j * shaper.objective_weight(grid.omegas, mode, OMEGA0_800) * 1e-15, values)
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+@pytest.mark.parametrize("um", [5.4, -44.97])
+def test_plate_design_gives_the_first_order_response(quartz, grid, mode, um):
+    design = metrology.plate_design(dispersion.contrast(quartz, OMEGA0_800), um * 1e-6)
+    first = shaper.first_order_response(Compensator(quartz, um * 1e-6), grid, mode, OMEGA0_800)
+    linear = shaper.linear_response(grid, mode, OMEGA0_800, design.achieved_delay / 2,
+                                    design.achieved_omega1)
+    np.testing.assert_array_equal(linear.values, first.values)
