@@ -15,7 +15,7 @@ from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, apply_transfer,
                          read_field_csv, replica_difference, to_frequency,
                          to_time, write_field_csv)
 from .shaper import (Compensator, TransferFunction, TransferPair,
-                     effective_response, first_order_response, objective_r1,
-                     objective_r2, transfer_exact, transfer_exact_segments)
+                     effective_response, first_order_response, objective_r2,
+                     transfer_exact, transfer_exact_segments)
 
 __version__ = "0.1.0"

@@ -48,9 +48,21 @@ class Interferogram:
 @dataclass(frozen=True)
 class RetrievedPhase:
     grid: SpectralGrid
-    phase: np.ndarray  # rad
+    phase: np.ndarray  # rad, finite
     weight: np.ndarray  # |filtered cross term|, >= 0
     masked: np.ndarray  # True where the weight is too small to trust the phase
+
+    def __post_init__(self):
+        arrays = (np.asarray(self.phase, dtype=float), np.asarray(self.weight, dtype=float),
+                  np.asarray(self.masked, dtype=bool))
+        if any(a.shape != (self.grid.n_samples,) for a in arrays):
+            raise ValueError("phase, weight and masked lengths do not match grid")
+        if not np.all(np.isfinite(arrays[0])):
+            raise ValueError("retrieved phase must be finite")
+        if not np.all(arrays[1] >= 0):  # NaN fails too
+            raise ValueError("retrieved weight must be non-negative")
+        for name, array in zip(("phase", "weight", "masked"), arrays):
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -96,11 +108,6 @@ def synthesize_interferogram(e_a: SpectralField, e_b: SpectralField, tau_ftsi: f
     return Interferogram(grid, 0.5 * np.abs(total) ** 2, tau_ftsi)
 
 
-def _pseudo_time(gram: Interferogram) -> TimeTrace:
-    carrier = gram.grid.omegas[gram.grid.n_samples // 2]
-    return to_time(SpectralField(gram.grid, gram.intensity.astype(complex), carrier))
-
-
 def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> RetrievedPhase:
     """Extract the differential spectral phase from the +tau sideband.
 
@@ -111,7 +118,8 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
     if window is None:
         window = FtsiWindow()
     tau = gram.delay_hint
-    trace = _pseudo_time(gram)
+    carrier = gram.grid.omegas[gram.grid.n_samples // 2]
+    trace = to_time(SpectralField(gram.grid, gram.intensity.astype(complex), carrier))
     t = trace.times
     mag = np.abs(trace.amplitude)
 
@@ -137,7 +145,6 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
             "narrow the window or increase the delay"
         )
 
-    carrier = gram.grid.omegas[gram.grid.n_samples // 2]
     cross = to_frequency(TimeTrace(trace.n_samples, trace.t_start, trace.t_step, filtered),
                          gram.grid, carrier)
     weight = np.abs(cross.amplitude)
@@ -226,7 +233,7 @@ def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    meta, data = read_table(path, ("delay_hint", "grid"))
+    meta, data = read_table(path, ("delay_hint", "grid"), ("intensity",))
     return Interferogram(SpectralGrid.from_metadata(meta), data["intensity"],
                          float(meta["delay_hint"]))
 
@@ -239,6 +246,6 @@ def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
 
 
 def read_phase_csv(path) -> RetrievedPhase:
-    meta, data = read_table(path, ("grid",))
+    meta, data = read_table(path, ("grid",), ("phase_rad", "weight", "masked"))
     return RetrievedPhase(SpectralGrid.from_metadata(meta), data["phase_rad"], data["weight"],
                           data["masked"].astype(bool))

@@ -46,12 +46,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def read_table(path, required_keys=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def read_table(path, required_keys=(),
+               required_columns=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """(metadata, data): the `# key=value` strings and the float columns by name.
 
     Raises ValueError when the column-name line is missing (no line, or a first
-    non-comment line of numbers), a required metadata key is missing or a row
-    is malformed.
+    non-comment line of numbers), a required metadata key or column is missing
+    or a row is malformed.
     """
     metadata, names = {}, []
     with open(path) as fh:
@@ -68,6 +69,9 @@ def read_table(path, required_keys=()) -> tuple[dict[str, str], dict[str, np.nda
         missing = [k for k in required_keys if k not in metadata]
         if missing:
             raise ValueError(f"{path}: missing {'/'.join(missing)} metadata")
+        missing = [c for c in required_columns if c not in names]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         parts = [[] for _ in names]
         rows = (line.split(",") for line in fh if not line.startswith("#") and line.strip())
         try:

@@ -27,7 +27,6 @@ ACHROMAT_MAX_CONDITION = 1e8
 class OverlapReport:
     overlap: float
     efficiency: float
-    band: tuple[float, float]  # rad/s
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
     """
     shaped = shaper.shaped_factor(segments, fld.grid, mode) * fld.magnitude
     overlap = mode_overlap(shaped[fld.band], _objective(fld, mode, fld.magnitude))
-    return OverlapReport(overlap, float(shaped @ shaped) / fld.power_sum, band_from_field(fld))
+    return OverlapReport(overlap, float(shaped @ shaped) / fld.power_sum)
 
 
 def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> OverlapReport:
@@ -99,7 +98,6 @@ def plate_design(c: dispersion.Contrast, length: float) -> DesignSolution:
         achieved_delay=float(c.delta_k_prime) * length,
         achieved_order=float(c.delta_k) * length / (2 * np.pi),
         achieved_omega1=c.omega1,
-        residuals={},
     )
 
 
@@ -108,7 +106,7 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     c = dispersion.contrast(material, omega0)
-    dk, dkp = float(c.delta_k), float(c.delta_k_prime)
+    dkp = float(c.delta_k_prime)
     if dkp == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no group-index contrast")
     return plate_design(c, tau / dkp)
@@ -119,7 +117,7 @@ def thickness_for_order(material: Material, omega0: float, order: float) -> Desi
     if not order >= 0:
         raise ValueError("order must be >= 0")
     c = dispersion.contrast(material, omega0)
-    dk, dkp = float(c.delta_k), float(c.delta_k_prime)
+    dk = float(c.delta_k)
     if dk == 0.0:
         raise DegenerateMaterialError(f"{material.name!r} has no birefringence at the carrier")
     return plate_design(c, 2 * order * np.pi / dk)

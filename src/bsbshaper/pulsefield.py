@@ -234,6 +234,6 @@ def write_field_csv(field: SpectralField, path):
 
 
 def read_field_csv(path) -> SpectralField:
-    meta, data = read_table(path, ("omega0", "grid"))
+    meta, data = read_table(path, ("omega0", "grid"), ("re", "im"))
     return SpectralField(SpectralGrid.from_metadata(meta), data["re"] + 1j * data["im"],
                          float(meta["omega0"]))

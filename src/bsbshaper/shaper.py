@@ -60,13 +60,9 @@ class TransferPair:
     h_y: np.ndarray
     common_phase: np.ndarray
 
-    def response(self, axis: str) -> np.ndarray:
-        """Channel response of the "x" or "y" axis, without the common phase."""
-        return {"x": self.h_x, "y": self.h_y}[axis]
-
     def full(self, axis: str) -> np.ndarray:
-        """Channel response including the common phase factor."""
-        return self.response(axis) * np.exp(1j * self.common_phase)
+        """Channel response of the "x" or "y" axis, including the common phase factor."""
+        return getattr(self, "h_" + axis) * np.exp(1j * self.common_phase)
 
 
 @dataclass(frozen=True)
@@ -104,15 +100,9 @@ def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:
     return psi_half
 
 
-def _axis_factor(psi_half: np.ndarray, axis: str) -> np.ndarray:
-    """Real factor of an axis response: cos(psi/2) on the "x" axis, sin(psi/2) on "y"."""
-    return np.cos(psi_half) if axis == "x" else np.sin(psi_half)
-
-
-def _axis_response(psi_half: np.ndarray, axis: str) -> np.ndarray:
-    """h_x = cos(psi/2) on the "x" axis, h_y = i sin(psi/2) on the "y" axis."""
-    factor = _axis_factor(psi_half, axis)
-    return factor.astype(complex) if axis == "x" else 1j * factor
+def _axis_response(psi_half: np.ndarray, axis: str) -> tuple[np.ndarray, complex]:
+    """(s, u) of the axis response u s: h_x = cos(psi/2) on "x", h_y = i sin(psi/2) on "y"."""
+    return (np.cos(psi_half), 1 + 0j) if axis == "x" else (np.sin(psi_half), 1j)
 
 
 def _mode_axes(mode: str) -> tuple[str, str]:
@@ -132,7 +122,8 @@ def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
     phi = np.zeros(grid.n_samples)
     for material, thickness in segments:
         phi += _wavevectors(material, grid)[1] * abs(thickness) / 2
-    return TransferPair(grid, _axis_response(psi_half, "x"), _axis_response(psi_half, "y"), phi)
+    (c, u_x), (s, u_y) = (_axis_response(psi_half, axis) for axis in "xy")
+    return TransferPair(grid, u_x * c, u_y * s, phi)
 
 
 def transfer_exact(comp: Compensator, grid: SpectralGrid) -> TransferPair:
@@ -145,13 +136,13 @@ def shaped_channel(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
 
     Computes only that channel: no common phase and no signal channel.
     """
-    shaped = _mode_axes(mode)[1]
-    return _axis_response(_half_retardance(segments, grid), shaped)
+    s, u = _axis_response(_half_retardance(segments, grid), _mode_axes(mode)[1])
+    return u * s
 
 
 def shaped_factor(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
     """Real s of the mode's shaped channel, which is s on the "x" axis and i s on "y"."""
-    return _axis_factor(_half_retardance(segments, grid), _mode_axes(mode)[1])
+    return _axis_response(_half_retardance(segments, grid), _mode_axes(mode)[1])[0]
 
 
 def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +151,7 @@ def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
     The analyser on the -y axis contributes a minus sign wherever the two
     channels are compared.
     """
-    signal, shaped = _mode_axes(mode)
-    return pair.response(signal), pair.response(shaped)
+    return tuple(getattr(pair, "h_" + axis) for axis in _mode_axes(mode))
 
 
 def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
@@ -184,20 +174,9 @@ def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
     return TransferFunction(pair.grid, values, masked)
 
 
-def objective_r1(grid: SpectralGrid, t1: float) -> TransferFunction:
-    """Field time-derivative objective -i omega T1."""
-    if not t1 > 0:
-        raise ValueError("t1 must be positive")
-    return TransferFunction(grid, -1j * grid.omegas * t1)
-
-
 def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFunction:
     """Envelope time-derivative objective -i (omega - omega0) T2."""
-    if not t2 > 0:
-        raise ValueError("t2 must be positive")
-    if not grid.contains(omega0):
-        raise ValueError("omega0 outside grid")
-    return TransferFunction(grid, -1j * (grid.omegas - omega0) * t2)
+    return objective(grid, "envelope-integer", t2, omega0)
 
 
 def objective_weight(omegas: np.ndarray, mode: str, omega0: float) -> np.ndarray:
@@ -207,11 +186,13 @@ def objective_weight(omegas: np.ndarray, mode: str, omega0: float) -> np.ndarray
 
 
 def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
-    """The mode's derivative objective: objective_r1 for field, objective_r2 otherwise."""
-    _mode_axes(mode)  # rejects an unknown mode
-    if mode == "field":
-        return objective_r1(grid, t_const)
-    return objective_r2(grid, t_const, omega0)
+    """The mode's derivative objective -i w' T (objective_weight), T = T1 for field, T2 otherwise."""
+    weight = objective_weight(grid.omegas, mode, omega0)
+    if not t_const > 0:
+        raise ValueError(f"{'t1' if mode == 'field' else 't2'} must be positive")
+    if mode != "field" and not grid.contains(omega0):
+        raise ValueError("omega0 outside grid")
+    return TransferFunction(grid, -1j * weight * t_const)
 
 
 def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,

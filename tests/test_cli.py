@@ -577,3 +577,52 @@ def test_yaml_value_of_the_wrong_type_exits_1(tmp_path, capsys, yaml):
     cfg.write_text(yaml + "\n")
     assert main(["figure", "fig2", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
     assert "must be" in capsys.readouterr().err and _listing(tmp_path) == ["run.yaml"]
+
+
+def _corrupt_fig5_phase(tmp_path, how):
+    """fig5's phase table with a NaN phase cell in an unmasked row, or with 100 rows cut off."""
+    assert main(["figure", "fig5", "--outdir", str(tmp_path)]) == 0
+    good = tmp_path / "fig5_retrieved_phase.csv"
+    lines = good.read_text().splitlines(keepends=True)
+    if how == "nan":
+        row = next(i for i, line in enumerate(lines)
+                   if not line.startswith("#") and line.rstrip().endswith(",0"))
+        cells = lines[row].split(",")
+        lines[row] = ",".join([cells[0], "nan", *cells[2:]])
+    else:
+        lines = lines[:-100]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    return good, bad
+
+
+@pytest.mark.parametrize("how,message", [("nan", "phase must be finite"),
+                                         ("truncated", "lengths do not match grid")])
+@pytest.mark.parametrize("argv", [
+    ["ftsi", "subtract", "--with", "{bad}", "--without", "{good}", "--output", "{tmp}/d.csv"],
+    ["ftsi", "jump", "--input", "{bad}"],
+], ids=["subtract", "jump"])
+def test_bad_phase_table_fails_before_writing(tmp_path, capsys, argv, how, message):
+    good, bad = _corrupt_fig5_phase(tmp_path, how)
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(bad=bad, good=good, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv,header,missing", [
+    (["pulse", "derive", "--input", "{bad}", "--output", "{tmp}/d.csv"], "omega_rad_per_s,re,imag",
+     "im"),
+    (["ftsi", "jump", "--input", "{bad}"], "omega_rad_per_s,re,im", "phase_rad, weight, masked"),
+], ids=["derive-with-im-renamed", "jump-on-a-field-table"])
+def test_missing_column_is_named(tmp_path, files, capsys, argv, header, missing):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(open(files["pulse"]).read().replace("omega_rad_per_s,re,im\n", header + "\n"))
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(bad=bad, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: missing column(s) {missing}" in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before

@@ -199,7 +199,6 @@ def test_score_matches_the_complex_route(quartz, pulse100, mode, um):
     # envelope-half overlaps of thin plates reach 1e-9, where rounding is absolute
     assert report.overlap == pytest.approx(overlap, rel=1e-12, abs=1e-18)
     assert report.efficiency == pytest.approx(efficiency, rel=1e-12)
-    assert report.band == band_from_field(pulse100)
 
 
 @pytest.mark.parametrize("mode", shaper.MODES)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bsbshaper import dispersion, shaper
 from bsbshaper.errors import BsbShaperError, WavelengthRangeError
 from bsbshaper.shaper import (Compensator, effective_response,
-                              first_order_response, objective_r1, objective_r2,
+                              first_order_response, objective, objective_r2,
                               transfer_exact, transfer_exact_segments)
 from conftest import OMEGA0_800
 
@@ -100,7 +100,7 @@ def test_segment_stack_adds_phases(quartz, kdp):
 
 def test_objectives_validate_arguments(grid):
     with pytest.raises(ValueError):
-        objective_r1(grid, -1.0)
+        objective(grid, "field", -1.0, OMEGA0_800)
     with pytest.raises(ValueError):
         objective_r2(grid, 1e-15, 2 * np.pi * 700e12)
 
@@ -148,7 +148,12 @@ def test_unitarity_any_thickness(um):
 
 def test_field_objective_rejects_nan_constant(grid):
     with pytest.raises(ValueError, match="t1 must be positive"):
-        objective_r1(grid, float("nan"))
+        objective(grid, "field", float("nan"), OMEGA0_800)
+
+
+def test_envelope_objective_is_the_integer_mode_objective(grid):
+    np.testing.assert_array_equal(objective_r2(grid, 1e-15, OMEGA0_800).values,
+                                  objective(grid, "envelope-integer", 1e-15, OMEGA0_800).values)
 
 
 @pytest.mark.parametrize("t2", [float("nan"), 0.0, -1e-15])
