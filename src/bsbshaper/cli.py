@@ -139,7 +139,7 @@ def _cmd_transfer(args):
     resp = shaper.effective_response(pair, config.mode)
     write_table(sys.stdout if args.output is None else args.output, [config_header(config)],
                 ["omega_rad_per_s", "abs_R", "arg_R", "abs_Hx", "abs_Hy", "masked"],
-                [grid.omegas, np.abs(resp.values), np.angle(resp.values), np.abs(pair.h_x),
+                [grid, np.abs(resp.values), np.angle(resp.values), np.abs(pair.h_x),
                  np.abs(pair.h_y), resp.masked])
 
 

@@ -60,13 +60,13 @@ def _ratio_pipeline(config: RunConfig, tag: str, outdir):
 
     spectra = os.path.join(outdir, f"{tag}_spectra.csv")
     _write_csv(spectra, head, ["omega_rad_per_s", "unshaped_intensity", "shaped_intensity"],
-               [grid.omegas, np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
+               [grid, np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
 
     ratio = os.path.join(outdir, f"{tag}_ratio.csv")
     _write_csv(ratio, head,
                ["omega_rad_per_s", "ratio_exact", "ratio_objective", "ratio_first_order",
                 "masked"],
-               [grid.omegas, np.abs(resp.values), np.abs(objective.values),
+               [grid, np.abs(resp.values), np.abs(objective.values),
                 np.abs(first.values), resp.masked])
     return [spectra, ratio]
 

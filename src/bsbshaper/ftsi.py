@@ -229,23 +229,26 @@ def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
     """The interferogram table, after the caller's comment lines."""
     write_table(path, [*header_lines, meta_line("delay_hint", gram.delay_hint),
                        gram.grid.metadata_line()],
-                ["omega_rad_per_s", "intensity"], [gram.grid.omegas, gram.intensity])
+                ["omega_rad_per_s", "intensity"], [gram.grid, gram.intensity])
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    meta, data = read_table(path, ("delay_hint", "grid"), ("intensity",))
-    return Interferogram(SpectralGrid.from_metadata(meta), data["intensity"],
-                         float(meta["delay_hint"]))
+    meta, data = read_table(path, ("delay_hint", "grid"), ("omega_rad_per_s", "intensity"),
+                            SpectralGrid.from_metadata)
+    return Interferogram(data["omega_rad_per_s"], data["intensity"], float(meta["delay_hint"]))
 
 
 def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
     """The retrieved-phase table, after the caller's comment lines."""
     write_table(path, [*header_lines, rp.grid.metadata_line()],
                 ["omega_rad_per_s", "phase_rad", "weight", "masked"],
-                [rp.grid.omegas, rp.phase, rp.weight, rp.masked])
+                [rp.grid, rp.phase, rp.weight, rp.masked])
 
 
 def read_phase_csv(path) -> RetrievedPhase:
-    meta, data = read_table(path, ("grid",), ("phase_rad", "weight", "masked"))
-    return RetrievedPhase(SpectralGrid.from_metadata(meta), data["phase_rad"], data["weight"],
-                          data["masked"].astype(bool))
+    _, data = read_table(path, ("grid",), ("omega_rad_per_s", "phase_rad", "weight", "masked"),
+                         SpectralGrid.from_metadata)
+    if not np.isin(data["masked"], (0, 1)).all():  # NaN fails too
+        raise ValueError(f"{path}: masked cells must be 0 or 1")
+    return RetrievedPhase(data["omega_rad_per_s"], data["phase_rad"], data["weight"],
+                          data["masked"])

@@ -230,10 +230,11 @@ def write_field_csv(field: SpectralField, path):
     """CSV with columns `omega_rad_per_s,re,im` and omega0/grid metadata lines."""
     write_table(path, [meta_line("omega0", field.omega0), field.grid.metadata_line()],
                 ["omega_rad_per_s", "re", "im"],
-                [field.grid.omegas, field.amplitude.real, field.amplitude.imag])
+                [field.grid, field.amplitude.real, field.amplitude.imag])
 
 
 def read_field_csv(path) -> SpectralField:
-    meta, data = read_table(path, ("omega0", "grid"), ("re", "im"))
-    return SpectralField(SpectralGrid.from_metadata(meta), data["re"] + 1j * data["im"],
+    meta, data = read_table(path, ("omega0", "grid"), ("omega_rad_per_s", "re", "im"),
+                            SpectralGrid.from_metadata)
+    return SpectralField(data["omega_rad_per_s"], data["re"] + 1j * data["im"],
                          float(meta["omega0"]))

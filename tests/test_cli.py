@@ -520,7 +520,9 @@ def test_figure_runs_several_figures_in_order(tmp_path, capsys):
     (["ftsi", "jump", "--input", "{bad}"], "phase", "{n} nan {step}"),
     (["pulse", "derive", "--input", "{bad}", "--output", "{tmp}/d.csv"], "pulse",
      "{n} {start} inf"),
-], ids=["nan-start", "inf-step"])
+    (["ftsi", "retrieve", "--input", "{bad}", "--output", "{tmp}/r.csv"], "gram",
+     "{n} -inf {step}"),
+], ids=["nan-start", "inf-step", "minus-inf-start"])
 def test_non_finite_grid_line_fails_at_the_boundary(tmp_path, files, capsys, argv, source, grid):
     text = open(files[source]).read()
     line = next(l for l in text.splitlines() if l.startswith("# grid="))
@@ -580,7 +582,8 @@ def test_yaml_value_of_the_wrong_type_exits_1(tmp_path, capsys, yaml):
 
 
 def _corrupt_fig5_phase(tmp_path, how):
-    """fig5's phase table with a NaN phase cell in an unmasked row, or with 100 rows cut off."""
+    """fig5's phase table with a NaN phase cell in an unmasked row, a `masked=<cell>` in the
+    first row, or with 100 rows cut off."""
     assert main(["figure", "fig5", "--outdir", str(tmp_path)]) == 0
     good = tmp_path / "fig5_retrieved_phase.csv"
     lines = good.read_text().splitlines(keepends=True)
@@ -589,6 +592,9 @@ def _corrupt_fig5_phase(tmp_path, how):
                    if not line.startswith("#") and line.rstrip().endswith(",0"))
         cells = lines[row].split(",")
         lines[row] = ",".join([cells[0], "nan", *cells[2:]])
+    elif how.startswith("masked="):
+        row = next(i for i, line in enumerate(lines) if line[0].isdigit())
+        lines[row] = ",".join([*lines[row].split(",")[:3], how.removeprefix("masked=")]) + "\n"
     else:
         lines = lines[:-100]
     bad = tmp_path / "bad.csv"
@@ -596,8 +602,10 @@ def _corrupt_fig5_phase(tmp_path, how):
     return good, bad
 
 
-@pytest.mark.parametrize("how,message", [("nan", "phase must be finite"),
-                                         ("truncated", "lengths do not match grid")])
+@pytest.mark.parametrize("how,message", [
+    ("nan", "phase must be finite"), ("truncated", "lengths do not match grid"),
+    *((f"masked={cell}", "bad.csv: masked cells must be 0 or 1") for cell in ("nan", "0.5", "2")),
+])
 @pytest.mark.parametrize("argv", [
     ["ftsi", "subtract", "--with", "{bad}", "--without", "{good}", "--output", "{tmp}/d.csv"],
     ["ftsi", "jump", "--input", "{bad}"],

@@ -1,16 +1,23 @@
 """The CSV table layer: exact round trips and byte-level pins of the figure outputs."""
 
+import dataclasses
 import hashlib
+import math
 import os
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsbshaper import figures
+from bsbshaper import figures, ftsi
+from bsbshaper import io as table_io
+from bsbshaper.cli import main
 from bsbshaper.config import RunConfig
+from bsbshaper.errors import GridMismatchError
 from bsbshaper.io import meta_line, read_table, write_table
+from bsbshaper.pulsefield import SpectralGrid, read_field_csv, write_field_csv
 
 # sha256 of the non-comment lines of every default-config figure output (n = 4096)
 FIGURE_DATA_SHA256 = {
@@ -145,3 +152,102 @@ def test_read_table_fuzz_rejects_broken_tables(tmp_path, case):
     path.write_text(broken)
     with pytest.raises(ValueError):
         read_table(path, ("grid",))
+
+
+_TABLES = {"field": (write_field_csv, read_field_csv),
+           "gram": (ftsi.write_interferogram_csv, ftsi.read_interferogram_csv),
+           "phase": (ftsi.write_phase_csv, ftsi.read_phase_csv)}
+
+
+@pytest.fixture(scope="module")
+def records(pulse100):
+    """A field, an interferogram and a retrieved phase on the default grid (4 blocks of rows)."""
+    gram = ftsi.synthesize_interferogram(pulse100, pulse100, 1e-12)
+    return {"field": pulse100, "gram": gram, "phase": ftsi.retrieve_phase(gram)}
+
+
+def _same(a, b):
+    """Bit-for-bit equality of two records of the same type."""
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() if isinstance(x, np.ndarray)
+               else x == y for x, y in pairs)
+
+
+def _edit_frequency_cells(path, edit):
+    """Rewrite the table at `path` with each frequency cell replaced by edit(row, cell)."""
+    lines = path.read_text().splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line.startswith("omega_rad_per_s,")) + 1
+    for row, i in enumerate(range(start, len(lines))):
+        cell, rest = lines[i].split(",", 1)
+        lines[i] = f"{edit(row, cell)},{rest}"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("kind", _TABLES)
+def test_frequency_column_is_checked_against_the_grid_line(tmp_path, records, kind):
+    write, read = _TABLES[kind]
+    path = tmp_path / "table.csv"
+    write(records[kind], path)
+    _edit_frequency_cells(path, lambda row, cell: f"{float(cell):.16e}")  # other strings, same floats
+    assert "\n9.4247779607693788e+14," in path.read_text()  # not the repr 942477796076937.9
+    assert _same(read(path), records[kind])
+    _edit_frequency_cells(path, lambda row, cell: repr(math.nextafter(float(cell), math.inf))
+                          if row == 3000 else cell)
+    with pytest.raises(GridMismatchError, match="omega_rad_per_s contradicts the # grid= line"):
+        read(path)
+
+
+def test_cold_and_warm_frequency_cells_write_the_same_bytes(tmp_path, records):
+    cells = table_io._frequency_cells
+    cells.cache_clear()
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    ftsi.write_phase_csv(records["phase"], cold)
+    ftsi.write_phase_csv(records["phase"], warm)
+    assert cells.cache_info()[:2] == (1, 1)  # (hits, misses): the second write reused the cells
+    assert cold.read_bytes() == warm.read_bytes()
+    column = [line.split(",")[0] for line in cold.read_text().splitlines() if line[0].isdigit()]
+    assert column == list(map(repr, records["phase"].grid.omegas.tolist()))
+
+
+def test_stream_destination_gets_the_file_bytes(tmp_path, capsys, records):
+    path, stream = tmp_path / "field.csv", StringIO()
+    write_field_csv(records["field"], path)
+    write_field_csv(records["field"], stream)
+    assert stream.getvalue() == path.read_text()
+    argv = ["transfer", "--thickness-um", "5.4", "--n-samples", "2048"]
+    assert main(argv + ["--output", str(tmp_path / "transfer.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0  # to standard output
+    assert capsys.readouterr().out == (tmp_path / "transfer.csv").read_text()
+
+
+def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
+    cells, path = table_io._frequency_cells, tmp_path / "table.csv"
+    bound = cells.cache_info().maxsize
+    for k in range(bound + 3):
+        grid = SpectralGrid(4, 1.0 + k, 0.5)
+        write_table(path, [], ["omega_rad_per_s"], [grid])
+        assert path.read_text().split()[1:] == list(map(repr, grid.omegas.tolist()))
+    assert cells.cache_info().currsize == bound
+
+
+def test_array_first_column_is_formatted_cell_by_cell(tmp_path):
+    """A table without a grid column, like `design sweep`'s, formats every column's values."""
+    thickness = np.geomspace(0.5, 80.0, 2500)
+    overlap, masked = 1 / thickness, thickness > 10
+    path = tmp_path / "sweep.csv"
+    write_table(path, [], ["thickness_um", "overlap", "masked"], [thickness, overlap, masked])
+    rows = zip(thickness.tolist(), overlap.tolist(), masked.tolist())
+    assert path.read_text() == "thickness_um,overlap,masked\n" + "".join(
+        f"{t!r},{o!r},{int(m)}\n" for t, o, m in rows)
+
+
+def test_comment_and_blank_lines_inside_the_rows_read_exactly(tmp_path, records):
+    """Lines skipped inside the rows shift the file's lines against the 1024-row blocks."""
+    path = tmp_path / "gram.csv"
+    ftsi.write_interferogram_csv(records["gram"], path)
+    lines = path.read_text().splitlines(keepends=True)
+    for i in (len(lines) - 1, len(lines) - 1500, len(lines) - 3000):
+        lines[i:i] = ["# a note among the rows\n", "\n"]
+    path.write_text("".join(lines))
+    assert _same(ftsi.read_interferogram_csv(path), records["gram"])
