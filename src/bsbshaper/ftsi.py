@@ -233,9 +233,9 @@ def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    meta, data = read_table(path, ("delay_hint", "grid"), ("omega_rad_per_s", "intensity"),
-                            SpectralGrid.from_metadata)
-    return Interferogram(data["omega_rad_per_s"], data["intensity"], float(meta["delay_hint"]))
+    meta, data = read_table(path, ("delay_hint", "grid"), ("omega_rad_per_s", "intensity"))
+    return Interferogram(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
+                         data["intensity"], float(meta["delay_hint"]))
 
 
 def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
@@ -246,9 +246,8 @@ def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
 
 
 def read_phase_csv(path) -> RetrievedPhase:
-    _, data = read_table(path, ("grid",), ("omega_rad_per_s", "phase_rad", "weight", "masked"),
-                         SpectralGrid.from_metadata)
+    meta, data = read_table(path, ("grid",), ("omega_rad_per_s", "phase_rad", "weight", "masked"))
     if not np.isin(data["masked"], (0, 1)).all():  # NaN fails too
         raise ValueError(f"{path}: masked cells must be 0 or 1")
-    return RetrievedPhase(data["omega_rad_per_s"], data["phase_rad"], data["weight"],
-                          data["masked"])
+    return RetrievedPhase(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
+                          data["phase_rad"], data["weight"], data["masked"])

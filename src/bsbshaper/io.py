@@ -3,19 +3,20 @@
 `#` comment lines (`# key=value` ones are metadata, the rest provenance text),
 one line of comma-separated column names, then one row per sample.  Floats are
 written as repr(float), so they read back exactly; integer and boolean columns as ints.
-A grid's frequency cells are formatted once per grid and process, and read by comparison.
+A grid passed in place of a column stands for its frequency column, whose cells are
+formatted once per grid value and process.  The record readers check that column against
+the `# grid=` line (`SpectralGrid.from_table`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+from dataclasses import astuple
 from functools import lru_cache
 from itertools import islice
 
 import numpy as np
-
-from .errors import GridMismatchError
 
 BLOCK_ROWS = 1024  # rows turned into Python objects at a time, which bounds peak memory
 
@@ -27,16 +28,20 @@ def meta_line(key: str, *values) -> str:
 
 
 @lru_cache(maxsize=8)  # grids whose cells are kept, least recently used dropped
-def _frequency_cells(grid) -> tuple[str, ...]:
-    """The cells of `grid.omegas`, one "\\n"-joined string per block of BLOCK_ROWS rows."""
-    w = grid.omegas.tolist()
+def _frequency_cells(grid_type, *fields) -> tuple[str, ...]:
+    """The cells of a grid's `omegas`, one "\\n"-joined string per block of BLOCK_ROWS rows.
+
+    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept.
+    """
+    w = grid_type(*fields).omegas.tolist()
     return tuple("\n".join(map(repr, w[i:i + BLOCK_ROWS])) for i in range(0, len(w), BLOCK_ROWS))
 
 
 def _column_blocks(column):
     """The cells of one column, as one iterable of strings per block of BLOCK_ROWS rows."""
     if hasattr(column, "omegas"):  # a grid stands for its frequency column
-        return (block.split("\n") for block in _frequency_cells(column))
+        cells = _frequency_cells(type(column), *astuple(column))
+        return (block.split("\n") for block in cells)
     column = np.asarray(column)
     fmt = int.__repr__ if column.dtype.kind in "biu" else repr  # booleans as 0/1
     return (map(fmt, column[i:i + BLOCK_ROWS].tolist()) for i in range(0, len(column), BLOCK_ROWS))
@@ -62,18 +67,11 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _holds_frequencies(grid, k: int, cells) -> bool:
-    """Whether block `k` of a column holds the grid's frequencies, as written or as equal floats."""
-    return "\n".join(cells) in _frequency_cells(grid)[k:k + 1] or np.array_equal(
-        np.fromiter(map(float, cells), float), grid.omegas[k * BLOCK_ROWS:][:len(cells)])
-
-
-def read_table(path, required_keys=(), required_columns=(), grid_from=None) -> tuple[dict, dict]:
+def read_table(path, required_keys=(),
+               required_columns=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """(metadata, data): the `# key=value` strings and the float columns by name.
 
-    With `grid_from`, which builds a grid from the metadata, the first column is read as
-    that grid.  Raises GridMismatchError when that column does not hold the grid's
-    frequencies, and ValueError when the column-name line is missing (no line, or a first
+    Raises ValueError when the column-name line is missing (no line, or a first
     non-comment line of numbers), a required metadata key or column is missing
     or a row is malformed.
     """
@@ -95,17 +93,13 @@ def read_table(path, required_keys=(), required_columns=(), grid_from=None) -> t
         missing = [c for c in required_columns if c not in names]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        grid = grid_from(metadata) if grid_from else None  # its column is checked, not parsed
         parts = [[] for _ in names]
         rows = (line.split(",") for line in fh if not line.startswith("#") and line.strip())
         try:
-            for k, block in enumerate(iter(lambda: list(islice(rows, BLOCK_ROWS)), [])):
-                columns = zip(*block, strict=True)
-                if grid is not None and not _holds_frequencies(grid, k, next(columns)):
-                    raise GridMismatchError(f"{path}: {names[0]} contradicts the # grid= line")
-                for part, cells in zip(parts[grid is not None:], columns, strict=True):
+            while block := list(islice(rows, BLOCK_ROWS)):
+                for part, cells in zip(parts, zip(*block, strict=True), strict=True):
                     part.append(np.fromiter(map(float, cells), float, len(cells)))
         except ValueError as exc:
             raise ValueError(f"{path}: malformed row ({exc})") from None
-    data = {name: np.concatenate(p) if p else np.empty(0) for name, p in zip(names, parts)}
-    return metadata, data if grid is None else {**data, names[0]: grid}
+    return metadata, {name: np.concatenate(p) if p else np.empty(0)
+                      for name, p in zip(names, parts)}

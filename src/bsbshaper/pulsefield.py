@@ -59,9 +59,14 @@ class SpectralGrid:
         return meta_line("grid", self.n_samples, self.omega_start, self.omega_step)
 
     @classmethod
-    def from_metadata(cls, metadata: dict) -> SpectralGrid:
+    def from_table(cls, path, metadata: dict, omegas: np.ndarray) -> SpectralGrid:
+        """The grid of a table's `# grid=` line, which each of its `omegas` rows must match."""
         n, start, step = metadata["grid"].split()
-        return cls(int(n), float(start), float(step))
+        grid = cls(int(n), float(start), float(step))
+        # a short column passes here, to fail the record's own length check
+        if not np.array_equal(omegas, grid.omegas[:len(omegas)]):
+            raise GridMismatchError(f"{path}: omega_rad_per_s contradicts the # grid= line")
+        return grid
 
 
 def default_grid(n_samples: int = 4096) -> SpectralGrid:
@@ -234,7 +239,6 @@ def write_field_csv(field: SpectralField, path):
 
 
 def read_field_csv(path) -> SpectralField:
-    meta, data = read_table(path, ("omega0", "grid"), ("omega_rad_per_s", "re", "im"),
-                            SpectralGrid.from_metadata)
-    return SpectralField(data["omega_rad_per_s"], data["re"] + 1j * data["im"],
-                         float(meta["omega0"]))
+    meta, data = read_table(path, ("omega0", "grid"), ("omega_rad_per_s", "re", "im"))
+    return SpectralField(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
+                         data["re"] + 1j * data["im"], float(meta["omega0"]))

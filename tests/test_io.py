@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import weakref
 from io import StringIO
 
 import numpy as np
@@ -229,6 +230,20 @@ def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
         write_table(path, [], ["omega_rad_per_s"], [grid])
         assert path.read_text().split()[1:] == list(map(repr, grid.omegas.tolist()))
     assert cells.cache_info().currsize == bound
+
+
+def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, records):
+    cells, path = table_io._frequency_cells, tmp_path / "phase.csv"
+    grid = SpectralGrid(2048, 3.0e15, 1.0e11)
+    grid.omegas  # filled, as a writer's grid always is
+    gone = weakref.ref(grid)
+    write_table(path, [grid.metadata_line()], ["omega_rad_per_s"], [grid])
+    del grid
+    assert gone() is None  # the cache holds the grid's fields, not the grid nor its omegas
+    ftsi.write_phase_csv(records["phase"], path)
+    before = cells.cache_info()
+    ftsi.read_phase_csv(path)
+    assert cells.cache_info() == before  # the column is parsed and compared, never formatted
 
 
 def test_array_first_column_is_formatted_cell_by_cell(tmp_path):
