@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -52,9 +52,6 @@ class RunConfig:
     def extra_phase(self, field: SpectralField) -> np.ndarray:
         """The run's delay-crystal dispersion phase, 0.5 GDD (omega - omega0)^2, on the field."""
         return 0.5 * self.extra_phase_gdd_fs2 * 1e-30 * (field.grid.omegas - field.omega0) ** 2
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # The type each field takes from YAML and flags: float where the default is None.
@@ -129,5 +126,5 @@ def validate_config(config: RunConfig) -> RunConfig:
 
 def config_header(config: RunConfig) -> str:
     """Comment block recording the normalized config, for output provenance."""
-    lines = [f"# config.{k}={v!r}" for k, v in sorted(config.as_dict().items())]
+    lines = [f"# config.{k}={v!r}" for k, v in sorted(asdict(config).items())]
     return "\n".join(lines) + "\n"

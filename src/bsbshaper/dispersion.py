@@ -147,11 +147,11 @@ def contrast(material: Material, omega) -> Contrast:
                     refractive_index(material.extraordinary, wl))
 
 
-def _axis_model(name, axis, data) -> SellmeierModel:
+def _axis_model(name, axis, data, valid_range_um) -> SellmeierModel:
     return SellmeierModel(
         constant_a=float(data["A"]),
         terms=tuple((float(b), float(c)) for b, c in data["terms"]),
-        valid_range_um=tuple(data["_range"]),
+        valid_range_um=valid_range_um,
         label=f"{name}:{axis}",
     )
 
@@ -163,12 +163,10 @@ def load_materials() -> dict[str, Material]:
     materials = {}
     for name, entry in raw.items():
         rng = tuple(float(v) for v in entry["valid_range_um"])
-        for axis in ("ordinary", "extraordinary"):
-            entry[axis]["_range"] = rng
         materials[name] = Material(
             name=name,
-            ordinary=_axis_model(name, "o", entry["ordinary"]),
-            extraordinary=_axis_model(name, "e", entry["extraordinary"]),
+            ordinary=_axis_model(name, "o", entry["ordinary"], rng),
+            extraordinary=_axis_model(name, "e", entry["extraordinary"], rng),
             citation=entry.get("citation", ""),
         )
     return materials

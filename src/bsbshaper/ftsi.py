@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyMaskError, GridMismatchError, SidebandOverlapError,
-                     UndersampledFringeError)
+from .errors import EmptyMaskError, SidebandOverlapError, UndersampledFringeError
 from .io import meta_line, read_table, write_table
-from .pulsefield import SpectralField, SpectralGrid, TimeTrace, to_frequency, to_time
+from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, common_grid, to_frequency,
+                         to_time)
 
 WEIGHT_MASK_FRACTION = 1e-3
 DEFAULT_WINDOW_ORDER = 6
@@ -35,11 +35,7 @@ class Interferogram:
     def __post_init__(self):
         if not 0 < self.delay_hint < np.inf:  # NaN fails too
             raise ValueError(f"delay_hint must be finite and positive, got {self.delay_hint} s")
-        s = np.asarray(self.intensity, dtype=float)
-        if s.shape != (self.grid.n_samples,):
-            raise ValueError("intensity length does not match grid")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("interferogram intensity must be finite")
+        s = self.grid.samples(self.intensity, float, "interferogram intensity")
         if np.any(s < -1e-15 * max(s.max(), 1.0)):
             raise ValueError("interferogram intensity must be non-negative")
         object.__setattr__(self, "intensity", np.maximum(s, 0.0))
@@ -53,13 +49,10 @@ class RetrievedPhase:
     masked: np.ndarray  # True where the weight is too small to trust the phase
 
     def __post_init__(self):
-        arrays = (np.asarray(self.phase, dtype=float), np.asarray(self.weight, dtype=float),
-                  np.asarray(self.masked, dtype=bool))
-        if any(a.shape != (self.grid.n_samples,) for a in arrays):
-            raise ValueError("phase, weight and masked lengths do not match grid")
-        if not np.all(np.isfinite(arrays[0])):
-            raise ValueError("retrieved phase must be finite")
-        if not np.all(arrays[1] >= 0):  # NaN fails too
+        arrays = (self.grid.samples(self.phase, float, "retrieved phase"),
+                  self.grid.samples(self.weight, float, "retrieved weight"),
+                  self.grid.samples(self.masked, bool, "masked"))
+        if not np.all(arrays[1] >= 0):
             raise ValueError("retrieved weight must be non-negative")
         for name, array in zip(("phase", "weight", "masked"), arrays):
             object.__setattr__(self, name, array)
@@ -94,9 +87,7 @@ def synthesize_interferogram(e_a: SpectralField, e_b: SpectralField, tau_ftsi: f
     extra_phase models delay-crystal dispersion beyond the pure delay; the
     reference-subtraction protocol cancels it.
     """
-    if e_a.grid != e_b.grid:
-        raise GridMismatchError("interferogram arms must share a grid")
-    grid = e_a.grid
+    grid = common_grid(e_a, e_b)
     samples_per_fringe = 2 * np.pi / (tau_ftsi * grid.omega_step) if tau_ftsi > 0 else np.inf
     if samples_per_fringe < 4:
         raise UndersampledFringeError(
@@ -179,14 +170,13 @@ def wrap_to_principal(rp: RetrievedPhase) -> RetrievedPhase:
 
 def subtract_reference(with_device: RetrievedPhase, without_device: RetrievedPhase) -> RetrievedPhase:
     """Differential phase; cancels the FTSI delay ramp and any common dispersion."""
-    if with_device.grid != without_device.grid:
-        raise GridMismatchError("retrieved phases live on different grids")
+    grid = common_grid(with_device, without_device)
     masked = with_device.masked | without_device.masked
     if masked.all():
         raise EmptyMaskError("no overlap between the unmasked regions of the two phases")
     phase = with_device.phase - without_device.phase
     weight = np.minimum(with_device.weight, without_device.weight)
-    return RetrievedPhase(with_device.grid, np.where(masked, 0.0, phase), weight, masked)
+    return RetrievedPhase(grid, np.where(masked, 0.0, phase), weight, masked)
 
 
 def relative_phase(with_device: RetrievedPhase, without_device: RetrievedPhase) -> RetrievedPhase:

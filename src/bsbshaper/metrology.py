@@ -17,7 +17,7 @@ import numpy as np
 from . import dispersion, shaper
 from .dispersion import Material
 from .errors import DegenerateMaterialError
-from .pulsefield import SpectralField
+from .pulsefield import SpectralField, common_grid
 from .shaper import Compensator
 
 ACHROMAT_MAX_CONDITION = 1e8
@@ -50,9 +50,7 @@ def mode_overlap(a, b, band=None) -> float:
     `a` and `b` are SpectralFields on a common grid, or amplitude arrays already on the band.
     """
     if isinstance(a, SpectralField):
-        if a.grid != b.grid:
-            raise ValueError("overlap requires a common grid")
-        w = a.grid.omegas
+        w = common_grid(a, b).omegas
         sel = slice(None) if band is None else (w >= band[0]) & (w <= band[1])
         a, b = a.amplitude[sel], b.amplitude[sel]
     na, nb = np.vdot(a, a).real, np.vdot(b, b).real
@@ -69,8 +67,7 @@ def _objective(source: SpectralField, mode: str, amplitude: np.ndarray) -> np.nd
 
 def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
     """(overlap, band_from_field(source)) of `shaped` with the mode's objective of `source`."""
-    if shaped.grid != source.grid:
-        raise ValueError("overlap requires a common grid")
+    common_grid(shaped, source)
     objective = _objective(source, mode, source.amplitude)
     return mode_overlap(shaped.amplitude[source.band], objective), band_from_field(source)
 
@@ -114,7 +111,7 @@ def thickness_for_delay(material: Material, omega0: float, tau: float) -> Design
 
 def thickness_for_order(material: Material, omega0: float, order: float) -> DesignSolution:
     """Thickness with delta_k(omega0) L / 2 = order * pi (half-integer orders allowed)."""
-    if not order >= 0:
+    if not 0 <= order < np.inf:  # NaN fails too
         raise ValueError("order must be >= 0")
     c = dispersion.contrast(material, omega0)
     dk = float(c.delta_k)

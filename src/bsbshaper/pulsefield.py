@@ -68,6 +68,23 @@ class SpectralGrid:
             raise GridMismatchError(f"{path}: omega_rad_per_s contradicts the # grid= line")
         return grid
 
+    def samples(self, values, dtype, what: str) -> np.ndarray:
+        """`values` as a `dtype` array holding one finite value per grid sample (every record)."""
+        a = np.asarray(values, dtype=dtype)
+        if a.shape != (self.n_samples,):
+            raise GridMismatchError(f"{what}: lengths do not match grid (shape {a.shape}, "
+                                    f"{self.n_samples} samples)")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} must be finite")
+        return a
+
+
+def common_grid(a, b) -> SpectralGrid:
+    """The grid that records `a` and `b` share; records on different grids raise."""
+    if a.grid != b.grid:
+        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+    return a.grid
+
 
 def default_grid(n_samples: int = 4096) -> SpectralGrid:
     """n_samples (4096 unless given) over 150-600 THz."""
@@ -84,11 +101,7 @@ class SpectralField:
     omega0: float  # rad/s
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=complex)
-        if amp.shape != (self.grid.n_samples,):
-            raise ValueError("amplitude length does not match grid")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitude must be finite")
+        amp = self.grid.samples(self.amplitude, complex, "amplitude")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
         if not self.grid.contains(self.omega0):
@@ -148,27 +161,16 @@ def edge_leak_fraction(amplitude: np.ndarray) -> float:
     return float((power[0] + power[-1]) / total)
 
 
-def _check_support(amplitude, label):
-    leak = edge_leak_fraction(amplitude)
-    if leak > EDGE_LEAK_FRACTION:
-        raise SupportLeakError(
-            f"{label}: edge-energy fraction {leak:.3g} exceeds {EDGE_LEAK_FRACTION:.0e}; "
-            "enlarge the grid span"
-        )
-
-
-def _check_grids(a_grid: SpectralGrid, b_grid: SpectralGrid):
-    if a_grid != b_grid:
-        raise GridMismatchError(f"grids differ: {a_grid} vs {b_grid}")
-
-
 def gaussian_pulse(grid: SpectralGrid, omega0: float, fwhm_intensity: float) -> SpectralField:
     """Flat-phase Gaussian with the given spectral intensity FWHM [rad/s], unit energy."""
     if not fwhm_intensity > 0:  # NaN fails too
         raise ValueError("fwhm_intensity must be positive")
     w = grid.omegas
     amp = np.exp(-2 * _LN2 * ((w - omega0) / fwhm_intensity) ** 2).astype(complex)
-    _check_support(amp, "gaussian_pulse")
+    leak = edge_leak_fraction(amp)
+    if leak > EDGE_LEAK_FRACTION:
+        raise SupportLeakError(f"gaussian_pulse: edge-energy fraction {leak:.3g} exceeds "
+                               f"{EDGE_LEAK_FRACTION:.0e}; enlarge the grid span")
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.omega_step)
     return SpectralField(grid, amp, omega0)
 
@@ -181,11 +183,9 @@ def apply_transfer(field: SpectralField, transfer) -> SpectralField:
     """
     values = getattr(transfer, "values", None)
     if values is None:
-        values = np.asarray(transfer, dtype=complex)
-        if values.shape != (field.grid.n_samples,):
-            raise GridMismatchError("transfer array length does not match field grid")
+        values = field.grid.samples(transfer, complex, "transfer array")
     else:
-        _check_grids(field.grid, transfer.grid)
+        common_grid(field, transfer)
     return SpectralField(field.grid, field.amplitude * values, field.omega0)
 
 
@@ -201,7 +201,7 @@ def replica_difference(field: SpectralField, tau: float) -> SpectralField:
     (1/2)E(t+tau/2) - (1/2)E(t-tau/2); spectral factor -i sin(omega tau/2)
     under the global convention, which tends to -i omega tau/2 for small tau.
     """
-    if not tau >= 0:
+    if not 0 <= tau < np.inf:  # NaN fails too
         raise ValueError("tau must be >= 0")
     w = field.grid.omegas
     return SpectralField(field.grid, -1j * np.sin(w * tau / 2) * field.amplitude, field.omega0)
@@ -222,11 +222,10 @@ def to_time(field: SpectralField) -> TimeTrace:
 
 def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> SpectralField:
     """Inverse of to_time for a trace produced on (or consistent with) `grid`."""
-    if trace.n_samples != grid.n_samples:
-        raise GridMismatchError("trace length does not match grid")
-    j = np.arange(trace.n_samples)
-    pre = trace.amplitude * np.exp(1j * grid.omega_start * j * trace.t_step)
-    spec = np.fft.ifft(pre) * trace.n_samples * trace.t_step
+    j = np.arange(grid.n_samples)
+    pre = grid.samples(trace.amplitude, complex, "time trace") \
+        * np.exp(1j * grid.omega_start * j * trace.t_step)
+    spec = np.fft.ifft(pre) * grid.n_samples * trace.t_step
     amp = spec * np.exp(1j * grid.omegas * trace.t_start)
     return SpectralField(grid, amp, omega0)
 

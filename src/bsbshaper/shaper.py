@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dispersion
 from .dispersion import C_LIGHT, Material
-from .errors import BsbShaperError, GridMismatchError
+from .errors import BsbShaperError
 from .pulsefield import SpectralGrid
 
 MAX_THICKNESS = 10e-3  # m
@@ -72,10 +72,8 @@ class TransferFunction:
     masked: np.ndarray | None = None  # True where the value is unreliable
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_samples,):
-            raise GridMismatchError("transfer-function length does not match grid")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", self.grid.samples(self.values, complex,
+                                                             "transfer function"))
 
 
 @lru_cache(maxsize=WAVEVECTOR_TABLES)
@@ -188,7 +186,7 @@ def objective_weight(omegas: np.ndarray, mode: str, omega0: float) -> np.ndarray
 def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> TransferFunction:
     """The mode's derivative objective -i w' T (objective_weight), T = T1 for field, T2 otherwise."""
     weight = objective_weight(grid.omegas, mode, omega0)
-    if not t_const > 0:
+    if not 0 < t_const < np.inf:  # NaN fails too
         raise ValueError(f"{'t1' if mode == 'field' else 't2'} must be positive")
     if mode != "field" and not grid.contains(omega0):
         raise ValueError("omega0 outside grid")

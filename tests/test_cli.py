@@ -373,6 +373,22 @@ def test_degenerate_envelope_constant_fails_before_writing(tmp_path, files, caps
     assert _listing(tmp_path) == before
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pulse", "replica", "--input", "{pulse}", "--output", "{tmp}/r.csv", "--tau-fs", "inf"],
+     "tau must be >= 0"),
+    (["pulse", "derive", "--input", "{pulse}", "--output", "{tmp}/d.csv", "--t-const-fs", "inf"],
+     "t1 must be positive"),
+    (["design", "order", "--order", "inf"], "order must be >= 0"),
+], ids=["tau-fs", "t-const-fs", "order"])
+def test_infinite_flag_fails_before_writing(tmp_path, files, capsys, argv, message):
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, **files) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert _listing(tmp_path) == before
+
+
 def test_non_finite_field_cell_fails_before_writing(tmp_path, files, capsys):
     lines = open(files["pulse"]).read().splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 100

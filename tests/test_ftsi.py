@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsbshaper import ftsi
-from bsbshaper.errors import (EmptyMaskError, GridMismatchError,
-                              SidebandOverlapError, UndersampledFringeError)
+from bsbshaper.errors import EmptyMaskError, SidebandOverlapError, UndersampledFringeError
 from bsbshaper.ftsi import (FtsiWindow, Interferogram, RetrievedPhase,
                             detect_phase_jump, read_interferogram_csv,
                             read_phase_csv, retrieve_phase, subtract_reference,
@@ -73,13 +72,6 @@ def test_overwide_window_leaking_baseband_rejected(pulse100):
     wide = FtsiWindow(center_time=TAU, width=5 * TAU, order=2)
     with pytest.raises(SidebandOverlapError):
         retrieve_phase(gram, wide)
-
-
-def test_arm_grids_must_match(pulse100):
-    from bsbshaper.pulsefield import default_grid, gaussian_pulse
-    other = gaussian_pulse(default_grid(2048), pulse100.omega0, 2 * np.pi * 100e12)
-    with pytest.raises(GridMismatchError):
-        synthesize_interferogram(pulse100, other, TAU)
 
 
 def test_negative_intensity_rejected(grid):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsbshaper import ftsi, metrology, shaper
 from bsbshaper.errors import GridMismatchError, SupportLeakError
 from bsbshaper.pulsefield import (SpectralField, SpectralGrid, apply_transfer,
                                   default_grid, derivative_field_oracle,
@@ -147,3 +148,47 @@ def test_field_rejects_non_finite_samples(pulse100, bad):
 def test_gaussian_pulse_rejects_a_width_that_is_not_positive(grid, fwhm):
     with pytest.raises(ValueError, match="fwhm_intensity must be positive"):
         gaussian_pulse(grid, OMEGA0_800, fwhm)
+
+
+def _flat_phase(grid):
+    n = grid.n_samples
+    return ftsi.RetrievedPhase(grid, np.zeros(n), np.ones(n), np.zeros(n, dtype=bool))
+
+
+PAIRINGS = {
+    "apply_transfer": lambda a, b: apply_transfer(
+        a, shaper.objective(b.grid, "field", 1e-15, b.omega0)),
+    "mode_overlap": metrology.mode_overlap,
+    "objective_overlap": lambda a, b: metrology.objective_overlap(a, b, "field"),
+    "synthesize_interferogram": lambda a, b: ftsi.synthesize_interferogram(a, b, 100e-15),
+    "subtract_reference": lambda a, b: ftsi.subtract_reference(_flat_phase(a.grid),
+                                                               _flat_phase(b.grid)),
+}
+
+
+@pytest.mark.parametrize("combine", PAIRINGS.values(), ids=PAIRINGS)
+def test_records_on_different_grids_do_not_combine(pulse100, combine):
+    combine(pulse100, pulse100)  # the same grid combines
+    other = gaussian_pulse(default_grid(2048), OMEGA0_800, 2 * np.pi * 100e12)
+    with pytest.raises(GridMismatchError, match="grids differ"):
+        combine(pulse100, other)
+
+
+RECORDS = {
+    "SpectralField": lambda grid, values: SpectralField(grid, values, OMEGA0_800),
+    "Interferogram": lambda grid, values: ftsi.Interferogram(grid, values, 100e-15),
+    "RetrievedPhase": lambda grid, values: ftsi.RetrievedPhase(
+        grid, values, np.ones(grid.n_samples), np.zeros(grid.n_samples, dtype=bool)),
+    "TransferFunction": shaper.TransferFunction,
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+def test_each_record_holds_one_finite_value_per_sample(grid, make):
+    make(grid, np.ones(grid.n_samples))
+    with pytest.raises(GridMismatchError, match="lengths do not match grid"):
+        make(grid, np.ones(grid.n_samples - 1))
+    values = np.ones(grid.n_samples)
+    values[7] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        make(grid, values)
