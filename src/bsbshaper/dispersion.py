@@ -11,8 +11,9 @@ arguments (rad/s) unless noted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
+from numbers import Real
 
 import numpy as np
 import yaml
@@ -20,6 +21,7 @@ import yaml
 from .errors import DegenerateMaterialError, WavelengthRangeError
 
 C_LIGHT = 299792458.0  # m/s
+CARRIER_CONTRASTS = 64  # scalar (material, omega) queries kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,33 @@ class Contrast:
 
 
 def contrast(material: Material, omega) -> Contrast:
-    """The material's two axes at omega [rad/s]: one Sellmeier evaluation per axis."""
+    """The material's two axes at omega [rad/s]: one Sellmeier evaluation per axis.
+
+    A scalar omega is answered from a cache (`_carrier_contrast`); an array, 0-d
+    included, is evaluated afresh.
+    """
+    if isinstance(omega, Real):
+        return _carrier_contrast(material, omega)
+    return _evaluate(material, omega)
+
+
+def _evaluate(material: Material, omega) -> Contrast:
     wl = 2 * np.pi * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
     return Contrast(material, omega, wl, refractive_index(material.ordinary, wl),
                     refractive_index(material.extraordinary, wl))
+
+
+@lru_cache(maxsize=CARRIER_CONTRASTS, typed=True)
+def _carrier_contrast(material: Material, omega: float) -> Contrast:
+    """The Contrast at a scalar omega, kept per (material, omega, type(omega)).
+
+    Its group indices are evaluated before it is shared, so no caller mutates
+    it.  An omega outside the validity window raises on every call, because an
+    exception is not cached.
+    """
+    c = _evaluate(material, omega)
+    c.n_g_o, c.n_g_e  # fills both cached properties now
+    return c
 
 
 def _axis_model(name, axis, data, valid_range_um) -> SellmeierModel:

@@ -11,6 +11,7 @@ response zero to a chosen frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .pulsefield import SpectralField, common_grid
 from .shaper import Compensator
 
 ACHROMAT_MAX_CONDITION = 1e8
+ACHROMAT_SYSTEMS = 8  # (mat_a, mat_b, omega0) systems kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -120,16 +122,14 @@ def thickness_for_order(material: Material, omega0: float, order: float) -> Desi
     return plate_design(c, 2 * order * np.pi / dk)
 
 
-def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
-                    target_omega1: float, target_tau: float) -> DesignSolution:
-    """Two-material stack with prescribed delay and linearization zero.
+@lru_cache(maxsize=ACHROMAT_SYSTEMS)
+def _achromat_system(mat_a: Material, mat_b: Material, omega0: float):
+    """Read-only (delta_k', delta_k, system matrix) of the pair at omega0, and its condition number.
 
-    Solves sum_i delta_k'_i L_i = tau and sum_i delta_k_i L_i = (omega0 -
-    target_omega1) tau for the signed thicknesses; negative thickness means
-    crossed axes.
+    Cached per (mat_a, mat_b, omega0); a degenerate pair raises on every call,
+    because an exception is not cached.  The entries are floats whatever the
+    type of omega0, so callers pass float(omega0) and any scalar shares its entry.
     """
-    if not np.isfinite(target_tau):
-        raise ValueError("target_tau must be finite")
     contrasts = [dispersion.contrast(m, omega0) for m in (mat_a, mat_b)]
     dkp = np.array([float(c.delta_k_prime) for c in contrasts])
     # second row scaled by 1/omega0 so both rows share units before conditioning
@@ -141,8 +141,26 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
             f"material pair ({mat_a.name!r}, {mat_b.name!r}) is degenerate for the "
             f"achromat system (condition number {cond:.3g})"
         )
+    for table in (dkp, dk, system):
+        table.setflags(write=False)
+    return dkp, dk, system, float(cond)
+
+
+def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
+                    target_omega1: float, target_tau: float) -> DesignSolution:
+    """Two-material stack with prescribed delay and linearization zero.
+
+    Solves sum_i delta_k'_i L_i = tau and sum_i delta_k_i L_i = (omega0 -
+    target_omega1) tau for the signed thicknesses; negative thickness means
+    crossed axes.  Each segment obeys the Compensator thickness bound.
+    """
+    if not np.isfinite(target_tau):
+        raise ValueError("target_tau must be finite")
+    dkp, dk, system, cond = _achromat_system(mat_a, mat_b, float(omega0))
     rhs = np.array([target_tau, (omega0 - target_omega1) * target_tau / omega0])
     lengths = np.linalg.solve(system, rhs)
+    segments = tuple(Compensator(m, float(length)).segments[0]
+                     for m, length in zip((mat_a, mat_b), lengths))
 
     total_dkp = float(dkp @ lengths)
     total_dk = float(dk @ lengths)
@@ -150,7 +168,7 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
         raise DegenerateMaterialError("achromat stack has zero net group-delay contrast")
     w1 = omega0 - total_dk / total_dkp
     return DesignSolution(
-        segments=((mat_a, float(lengths[0])), (mat_b, float(lengths[1]))),
+        segments=segments,
         achieved_delay=total_dkp,
         achieved_order=total_dk / (2 * np.pi),
         achieved_omega1=w1,
@@ -158,7 +176,7 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
             "omega1_over_omega0": w1 / omega0,
             "omega1_residual": abs(w1 - target_omega1) / omega0,
             "delay_residual": abs(total_dkp - target_tau) / abs(target_tau) if target_tau else 0.0,
-            "condition_number": float(cond),
+            "condition_number": cond,
         },
     )
 

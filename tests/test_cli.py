@@ -66,6 +66,14 @@ def test_design_achromat(capsys):
     assert abs(float(info["omega1_over_omega0"])) <= 1e-9
 
 
+def test_design_achromat_rejects_a_segment_past_the_thickness_bound(capsys):
+    code = main(["design", "achromat", "--tau-fs", "1e300",
+                 "--nu-start-thz", "185", "--nu-end-thz", "565"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: |thickness| = ")
+
+
 def test_transfer_requires_thickness(capsys):
     assert main(["transfer"]) == 1
     assert "thickness" in capsys.readouterr().err

@@ -124,3 +124,42 @@ def test_contrast_is_bit_equal_to_the_inline_formulas(quartz, omega):
         dng = float(ng_e - ng_o)
         assert type(c.omega1) is float
         assert c.omega1 == omega * (dng - float(n_e - n_o)) / dng
+
+
+CARRIER = 2 * np.pi * dispersion.C_LIGHT / 800e-9
+CONTRAST_FIELDS = ("omega", "wl_um", "n_o", "n_e", "n_g_o", "n_g_e", "delta_n", "delta_n_group",
+                   "delta_k", "delta_k_prime", "omega1")
+
+
+@pytest.mark.parametrize("omega", [CARRIER, np.float64(CARRIER), np.asarray(CARRIER)],
+                         ids=["float", "float64", "0-d"])
+def test_cached_contrast_is_bit_and_type_equal_to_a_fresh_one(quartz, omega):
+    fresh = dispersion._evaluate(quartz, omega)
+    dispersion._carrier_contrast.cache_clear()
+    first, second = contrast(quartz, omega), contrast(quartz, omega)  # a miss, then a hit
+    assert (first is second) == (not isinstance(omega, np.ndarray))  # arrays are not cached
+    for c in (first, second):
+        for name in CONTRAST_FIELDS:
+            got, want = getattr(c, name), getattr(fresh, name)
+            assert type(got) is type(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_carrier_cache_keeps_float_and_float64_apart(quartz):
+    dispersion._carrier_contrast.cache_clear()
+    assert type(contrast(quartz, CARRIER).omega1) is float
+    assert type(contrast(quartz, np.float64(CARRIER)).omega1) is np.float64
+
+
+def test_cached_contrast_is_complete_before_it_is_shared(quartz):
+    dispersion._carrier_contrast.cache_clear()
+    assert {"n_g_o", "n_g_e"} <= vars(contrast(quartz, CARRIER)).keys()
+
+
+@pytest.mark.parametrize("omega", [float("nan"), np.float64("nan"),
+                                   2 * np.pi * dispersion.C_LIGHT / 5e-6],
+                         ids=["nan", "float64-nan", "5um"])
+def test_carrier_outside_the_validity_window_raises_on_every_call(quartz, omega):
+    for _ in range(3):  # the error is not cached
+        with pytest.raises(WavelengthRangeError):
+            contrast(quartz, omega)

@@ -151,7 +151,11 @@ def test_validate_config_rejects_infinity(key):
 
 
 def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
-    """With the grid's wavevector table warm, each carrier query evaluates each axis once."""
+    """With the grid's wavevector table warm, each carrier query evaluates each axis once.
+
+    A figure evaluates both axes at the carrier once with the carrier cache cold, and
+    not at all when it runs again.
+    """
     config = RunConfig(outdir=str(tmp_path))
     shaper._wavevectors(dispersion.get_material(config.material), config.grid())
     calls = []
@@ -159,6 +163,8 @@ def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
     monkeypatch.setattr(dispersion, "refractive_index",
                         lambda model, wl: calls.append(model) or index(model, wl))
     for figure in figures.FIGURES:
-        calls.clear()
-        figures.run_figure_pipeline(config, figure)
-        assert len(calls) == 2, figure
+        dispersion._carrier_contrast.cache_clear()
+        for expected in (2, 0):
+            calls.clear()
+            figures.run_figure_pipeline(config, figure)
+            assert len(calls) == expected, figure

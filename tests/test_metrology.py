@@ -120,8 +120,33 @@ def test_achromat_beats_single_material(quartz, kdp):
 
 
 def test_achromat_rejects_degenerate_pair(quartz):
-    with pytest.raises(DegenerateMaterialError):
-        achromat_design(quartz, quartz, OMEGA0_800, 0.0, 0.17e-15)
+    iso = dispersion.Material("iso", quartz.ordinary, quartz.ordinary)
+    for mat in (quartz, iso):
+        for _ in range(3):  # the error is not cached
+            with pytest.raises(DegenerateMaterialError):
+                achromat_design(mat, mat, OMEGA0_800, 0.0, 0.17e-15)
+
+
+def test_achromat_system_is_cached_and_read_only(quartz, kdp):
+    system = metrology._achromat_system(quartz, kdp, OMEGA0_800)
+    assert metrology._achromat_system(quartz, kdp, OMEGA0_800) is system
+    for table in system[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+@pytest.mark.parametrize("omega0", [np.float64(OMEGA0_800), np.asarray(OMEGA0_800)],
+                         ids=["float64", "0-d"])
+def test_achromat_takes_any_scalar_carrier(quartz, kdp, omega0):
+    assert (achromat_design(quartz, kdp, omega0, 0.0, 0.17e-15)
+            == achromat_design(quartz, kdp, OMEGA0_800, 0.0, 0.17e-15))
+
+
+@pytest.mark.parametrize("target_omega1, tau", [(0.0, 1e-9), (0.0, -1e-9), (0.0, 1e285),
+                                                (float("nan"), 0.17e-15)])
+def test_achromat_segments_obey_the_thickness_bound(quartz, kdp, target_omega1, tau):
+    with pytest.raises(ValueError, match=r"^\|thickness\| = .* m exceeds the 1e-02 m"):
+        achromat_design(quartz, kdp, OMEGA0_800, target_omega1, tau)
 
 
 def test_delay_design_rejects_isotropic(quartz):
@@ -166,20 +191,25 @@ def test_sellmeier_evaluations_per_call(quartz, kdp, pulse100, monkeypatch):
                         lambda model, wl: calls.append(model) or index(model, wl))
 
     def count(fn, *args):
-        calls.clear()
-        fn(*args)
-        return len(calls)
+        """(cold, warm): evaluations with the carrier and achromat caches cleared, then again."""
+        dispersion._carrier_contrast.cache_clear()
+        metrology._achromat_system.cache_clear()
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            fn(*args)
+            counts.append(len(calls))
+        return tuple(counts)
 
-    assert count(thickness_for_order, quartz, OMEGA0_800, 0.5) == 2
-    assert count(thickness_for_delay, quartz, OMEGA0_800, 0.17e-15) == 2
-    assert count(achromat_design, quartz, kdp, OMEGA0_800, 0.0, 0.17e-15) == 4
+    assert count(thickness_for_order, quartz, OMEGA0_800, 0.5) == (2, 0)
+    assert count(thickness_for_delay, quartz, OMEGA0_800, 0.17e-15) == (2, 0)
+    assert count(achromat_design, quartz, kdp, OMEGA0_800, 0.0, 0.17e-15) == (4, 0)
     assert count(shaper.first_order_response, Compensator(quartz, 5.4e-6), pulse100.grid,
-                 "field", OMEGA0_800) == 2
-    assert count(main, ["material-info", "quartz"]) == 2
-    assert count(lambda: dispersion.contrast(quartz, OMEGA0_800).omega1) == 2
+                 "field", OMEGA0_800) == (2, 0)
+    assert count(main, ["material-info", "quartz"]) == (2, 0)
+    assert count(lambda: dispersion.contrast(quartz, OMEGA0_800).omega1) == (2, 0)
     shaper._wavevectors.cache_clear()
-    assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == 2
-    assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == 0
+    assert count(score_compensator, Compensator(quartz, 5.4e-6), pulse100, "field") == (2, 0)
 
 
 def _complex_route(segments, pulse, mode):
