@@ -16,7 +16,8 @@ from .config import FIELD_TYPES, RunConfig, config_header, load_config
 from .errors import (BsbShaperError, ConfigError, DegenerateMaterialError,
                      EmptyMaskError, SidebandOverlapError)
 from .io import write_table
-from .pulsefield import apply_transfer, read_field_csv, replica_difference, write_field_csv
+from .pulsefield import (apply_transfer, read_field_csv, replica_difference, write_field_csv,
+                         write_grid_table)
 from .shaper import Compensator
 
 VALIDATION_EXIT = 1
@@ -137,10 +138,10 @@ def _cmd_transfer(args):
     grid, material = config.grid(), dispersion.get_material(config.material)
     pair = shaper.transfer_exact(Compensator(material, config.thickness_um * 1e-6), grid)
     resp = shaper.effective_response(pair, config.mode)
-    write_table(sys.stdout if args.output is None else args.output, [config_header(config)],
-                ["omega_rad_per_s", "abs_R", "arg_R", "abs_Hx", "abs_Hy", "masked"],
-                [grid, np.abs(resp.values), np.angle(resp.values), np.abs(pair.h_x),
-                 np.abs(pair.h_y), resp.masked])
+    write_grid_table(sys.stdout if args.output is None else args.output, grid,
+                     [config_header(config)], ["abs_R", "arg_R", "abs_Hx", "abs_Hy", "masked"],
+                     [np.abs(resp.values), np.angle(resp.values), np.abs(pair.h_x),
+                      np.abs(pair.h_y), resp.masked])
 
 
 def _cmd_pulse_synth(args):

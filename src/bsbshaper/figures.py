@@ -16,8 +16,7 @@ import numpy as np
 from . import dispersion, ftsi, metrology, shaper
 from .config import RunConfig, config_header, validate_config
 from .errors import ConfigError
-from .io import write_table
-from .pulsefield import apply_transfer
+from .pulsefield import apply_transfer, write_grid_table
 from .shaper import Compensator
 
 
@@ -32,9 +31,9 @@ def _canonical_design(config: RunConfig) -> metrology.DesignSolution:
     return metrology.thickness_for_order(material, config.omega0, 0.5)
 
 
-# The one name every figure table is written through. It stays, though it is write_table,
-# because perfbench/test_bench.py monkeypatches it to corrupt one figure byte.
-_write_csv = write_table
+# The fig2/fig4 tables are written through this name (fig3/fig5 ones by the ftsi writers). It
+# stays, though it is write_grid_table, because perfbench/test_bench.py monkeypatches it.
+_write_csv = write_grid_table
 
 
 def _setup(config: RunConfig):
@@ -59,15 +58,12 @@ def _ratio_pipeline(config: RunConfig, tag: str, outdir):
     power = np.abs(pulse.amplitude) ** 2
 
     spectra = os.path.join(outdir, f"{tag}_spectra.csv")
-    _write_csv(spectra, head, ["omega_rad_per_s", "unshaped_intensity", "shaped_intensity"],
-               [grid, np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
+    _write_csv(spectra, grid, head, ["unshaped_intensity", "shaped_intensity"],
+               [np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
 
     ratio = os.path.join(outdir, f"{tag}_ratio.csv")
-    _write_csv(ratio, head,
-               ["omega_rad_per_s", "ratio_exact", "ratio_objective", "ratio_first_order",
-                "masked"],
-               [grid, np.abs(resp.values), np.abs(objective.values),
-                np.abs(first.values), resp.masked])
+    _write_csv(ratio, grid, head, ["ratio_exact", "ratio_objective", "ratio_first_order", "masked"],
+               [np.abs(resp.values), np.abs(objective.values), np.abs(first.values), resp.masked])
     return [spectra, ratio]
 
 

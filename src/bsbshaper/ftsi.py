@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMaskError, SidebandOverlapError, UndersampledFringeError
-from .io import meta_line, read_table, write_table
-from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, common_grid, to_frequency,
-                         to_time)
+from .io import meta_line
+from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, common_grid, read_grid_table,
+                         to_frequency, to_time, write_grid_table)
 
 WEIGHT_MASK_FRACTION = 1e-3
 DEFAULT_WINDOW_ORDER = 6
@@ -205,39 +205,31 @@ def detect_phase_jump(rp: RetrievedPhase, omega0: float) -> JumpReport:
 
     # place the jump at the largest step between consecutive valid samples near omega0
     near = valid & (np.abs(w - omega0) <= JUMP_WINDOW)
-    idx = np.flatnonzero(near)
-    if len(idx) >= 2:
-        steps = np.abs(np.diff(rp.phase[idx]))
-        k = int(np.argmax(steps))
-        location = 0.5 * (w[idx[k]] + w[idx[k + 1]])
-    else:
-        location = omega0
+    idx = np.flatnonzero(near)  # >= 2 * JUMP_MIN_SAMPLES, for `near` holds `below` and `above`
+    k = int(np.argmax(np.abs(np.diff(rp.phase[idx]))))
+    location = 0.5 * (w[idx[k]] + w[idx[k + 1]])
     return JumpReport(location, magnitude, int(np.sign(magnitude)) if magnitude else 0)
 
 
 def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
     """The interferogram table, after the caller's comment lines."""
-    write_table(path, [*header_lines, meta_line("delay_hint", gram.delay_hint),
-                       gram.grid.metadata_line()],
-                ["omega_rad_per_s", "intensity"], [gram.grid, gram.intensity])
+    write_grid_table(path, gram.grid, [*header_lines, meta_line("delay_hint", gram.delay_hint)],
+                     ["intensity"], [gram.intensity])
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    meta, data = read_table(path, ("delay_hint", "grid"), ("omega_rad_per_s", "intensity"))
-    return Interferogram(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
-                         data["intensity"], float(meta["delay_hint"]))
+    grid, values, data = read_grid_table(path, ("delay_hint",), ("intensity",))
+    return Interferogram(grid, data["intensity"], values["delay_hint"])
 
 
 def write_phase_csv(rp: RetrievedPhase, path, header_lines=()):
     """The retrieved-phase table, after the caller's comment lines."""
-    write_table(path, [*header_lines, rp.grid.metadata_line()],
-                ["omega_rad_per_s", "phase_rad", "weight", "masked"],
-                [rp.grid, rp.phase, rp.weight, rp.masked])
+    write_grid_table(path, rp.grid, header_lines, ["phase_rad", "weight", "masked"],
+                     [rp.phase, rp.weight, rp.masked])
 
 
 def read_phase_csv(path) -> RetrievedPhase:
-    meta, data = read_table(path, ("grid",), ("omega_rad_per_s", "phase_rad", "weight", "masked"))
+    grid, _, data = read_grid_table(path, (), ("phase_rad", "weight", "masked"))
     if not np.isin(data["masked"], (0, 1)).all():  # NaN fails too
         raise ValueError(f"{path}: masked cells must be 0 or 1")
-    return RetrievedPhase(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
-                          data["phase_rad"], data["weight"], data["masked"])
+    return RetrievedPhase(grid, data["phase_rad"], data["weight"], data["masked"])

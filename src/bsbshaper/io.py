@@ -4,8 +4,8 @@
 one line of comma-separated column names, then one row per sample.  Floats are
 written as repr(float), so they read back exactly; integer and boolean columns as ints.
 A grid passed in place of a column stands for its frequency column, whose cells are
-formatted once per grid value and process.  The record readers check that column against
-the `# grid=` line (`SpectralGrid.from_table`).
+formatted once per grid value and process.  `pulsefield.write_grid_table` and
+`read_grid_table` own the `# grid=` line and that column.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def read_table(path, required_keys=(),
     """(metadata, data): the `# key=value` strings and the float columns by name.
 
     Raises ValueError when the column-name line is missing (no line, or a first
-    non-comment line of numbers), a required metadata key or column is missing
-    or a row is malformed.
+    non-comment line of numbers) or names a column twice, a required metadata key
+    or column is missing or a row is malformed.
     """
     metadata, names = {}, []
     with open(path) as fh:
@@ -87,6 +87,8 @@ def read_table(path, required_keys=(),
                 break
         if not names or any(map(_is_number, names)):
             raise ValueError(f"{path}: no column-name line before the data rows")
+        if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ValueError(f"{path}: column {twice[0]} appears twice in the column-name line")
         missing = [k for k in required_keys if k not in metadata]
         if missing:
             raise ValueError(f"{path}: missing {'/'.join(missing)} metadata")

@@ -8,7 +8,7 @@ is -i omega T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,20 +54,6 @@ class SpectralGrid:
     def time_step(self) -> float:
         return 2 * np.pi / (self.n_samples * self.omega_step)
 
-    def metadata_line(self) -> str:
-        """The `# grid=n_samples omega_start omega_step` line of a table file."""
-        return meta_line("grid", self.n_samples, self.omega_start, self.omega_step)
-
-    @classmethod
-    def from_table(cls, path, metadata: dict, omegas: np.ndarray) -> SpectralGrid:
-        """The grid of a table's `# grid=` line, which each of its `omegas` rows must match."""
-        n, start, step = metadata["grid"].split()
-        grid = cls(int(n), float(start), float(step))
-        # a short column passes here, to fail the record's own length check
-        if not np.array_equal(omegas, grid.omegas[:len(omegas)]):
-            raise GridMismatchError(f"{path}: omega_rad_per_s contradicts the # grid= line")
-        return grid
-
     def samples(self, values, dtype, what: str) -> np.ndarray:
         """`values` as a `dtype` array holding one finite value per grid sample (every record)."""
         a = np.asarray(values, dtype=dtype)
@@ -77,6 +63,30 @@ class SpectralGrid:
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{what} must be finite")
         return a
+
+
+def write_grid_table(path, grid: SpectralGrid, header_lines, names, columns):
+    """`header_lines`, the `# grid=` line, then `omega_rad_per_s` and the named columns."""
+    write_table(path, [*header_lines, meta_line("grid", *astuple(grid))],
+                ["omega_rad_per_s", *names], [grid, *columns])
+
+
+def read_grid_table(path, keys=(), names=()) -> tuple[SpectralGrid, dict, dict]:
+    """(grid, the metadata `keys` as floats, every column but `omega_rad_per_s`) of a table
+    `write_grid_table` wrote; each frequency cell must hold the grid's value, as a float."""
+    meta, data = read_table(path, ("grid", *keys), ("omega_rad_per_s", *names))
+    values = {}
+    for key, types in [("grid", (int, float, float)), *((key, (float,)) for key in keys)]:
+        try:
+            values[key] = [t(cell) for t, cell in zip(types, meta[key].split(), strict=True)]
+        except ValueError:
+            raise ValueError(f"{path}: # {key}= needs {' '.join(t.__name__ for t in types)}, "
+                             f"got {meta[key]!r}") from None
+    grid = SpectralGrid(*values.pop("grid"))
+    omegas = grid.samples(data.pop("omega_rad_per_s"), float, f"{path}: omega_rad_per_s")
+    if not np.array_equal(omegas, grid.omegas):
+        raise GridMismatchError(f"{path}: omega_rad_per_s contradicts the # grid= line")
+    return grid, {key: value for key, (value,) in values.items()}, data
 
 
 def common_grid(a, b) -> SpectralGrid:
@@ -231,13 +241,11 @@ def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> Spectra
 
 
 def write_field_csv(field: SpectralField, path):
-    """CSV with columns `omega_rad_per_s,re,im` and omega0/grid metadata lines."""
-    write_table(path, [meta_line("omega0", field.omega0), field.grid.metadata_line()],
-                ["omega_rad_per_s", "re", "im"],
-                [field.grid, field.amplitude.real, field.amplitude.imag])
+    """The field table: columns `re` and `im` on the grid, after an `# omega0=` line."""
+    write_grid_table(path, field.grid, [meta_line("omega0", field.omega0)], ["re", "im"],
+                     [field.amplitude.real, field.amplitude.imag])
 
 
 def read_field_csv(path) -> SpectralField:
-    meta, data = read_table(path, ("omega0", "grid"), ("omega_rad_per_s", "re", "im"))
-    return SpectralField(SpectralGrid.from_table(path, meta, data["omega_rad_per_s"]),
-                         data["re"] + 1j * data["im"], float(meta["omega0"]))
+    grid, values, data = read_grid_table(path, ("omega0",), ("re", "im"))
+    return SpectralField(grid, data["re"] + 1j * data["im"], values["omega0"])

@@ -644,6 +644,18 @@ def test_bad_phase_table_fails_before_writing(tmp_path, capsys, argv, how, messa
     assert _listing(tmp_path) == before
 
 
+def test_overlap_rejects_a_field_table_that_names_a_column_twice(tmp_path, files, capsys):
+    lines = open(files["pulse"]).read().splitlines(keepends=True)
+    dup = tmp_path / "dup.csv"  # a copy of each row's re cell under a second `re` column
+    dup.write_text("".join(line if line.startswith("#") else
+                           line.replace(",", ",{},".format(line.split(",")[1]), 1)
+                           for line in lines))
+    assert "omega_rad_per_s,re,re,im\n" in dup.read_text()
+    assert main(["overlap", "--shaped", str(dup), "--source", files["pulse"]]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {dup}: column re appears twice" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv,header,missing", [
     (["pulse", "derive", "--input", "{bad}", "--output", "{tmp}/d.csv"], "omega_rad_per_s,re,imag",
      "im"),

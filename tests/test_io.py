@@ -12,13 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsbshaper import figures, ftsi
+from bsbshaper import cli, figures, ftsi, pulsefield
 from bsbshaper import io as table_io
 from bsbshaper.cli import main
 from bsbshaper.config import RunConfig
 from bsbshaper.errors import GridMismatchError
 from bsbshaper.io import meta_line, read_table, write_table
-from bsbshaper.pulsefield import SpectralGrid, read_field_csv, write_field_csv
+from bsbshaper.pulsefield import (SpectralGrid, read_field_csv, read_grid_table, write_field_csv,
+                                  write_grid_table)
 
 # sha256 of the non-comment lines of every default-config figure output (n = 4096)
 FIGURE_DATA_SHA256 = {
@@ -237,7 +238,7 @@ def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, r
     grid = SpectralGrid(2048, 3.0e15, 1.0e11)
     grid.omegas  # filled, as a writer's grid always is
     gone = weakref.ref(grid)
-    write_table(path, [grid.metadata_line()], ["omega_rad_per_s"], [grid])
+    write_grid_table(path, grid, [], [], [])
     del grid
     assert gone() is None  # the cache holds the grid's fields, not the grid nor its omegas
     ftsi.write_phase_csv(records["phase"], path)
@@ -266,3 +267,60 @@ def test_comment_and_blank_lines_inside_the_rows_read_exactly(tmp_path, records)
         lines[i:i] = ["# a note among the rows\n", "\n"]
     path.write_text("".join(lines))
     assert _same(ftsi.read_interferogram_csv(path), records["gram"])
+
+
+@pytest.mark.parametrize("key,line", [
+    ("grid", "# grid=4096 942477796076937.9"),
+    ("grid", "# grid=4096.0 942477796076937.9 690291354548.5386"),
+    ("omega0", "# omega0=abc"),
+], ids=["two-grid-values", "float-sample-count", "word-carrier"])
+def test_bad_metadata_value_names_the_file_and_key(tmp_path, records, key, line):
+    path = tmp_path / "field.csv"
+    write_field_csv(records["field"], path)
+    text = path.read_text()
+    old = next(old for old in text.splitlines() if old.startswith(f"# {key}="))
+    path.write_text(text.replace(old, line))
+    with pytest.raises(ValueError) as info:
+        read_field_csv(path)
+    needs = "int float float" if key == "grid" else "float"
+    assert str(info.value) == f"{path}: # {key}= needs {needs}, got {line[len(key) + 3:]!r}"
+
+
+def _recording(monkeypatch, module, name):
+    """Rebind the grid-table writer `module.name` so that it also records what it writes."""
+    written, write = {}, getattr(module, name)
+
+    def record(path, grid, header_lines, names, columns):
+        written[str(path)] = grid, dict(zip(names, columns))
+        write(path, grid, header_lines, names, columns)
+
+    monkeypatch.setattr(module, name, record)
+    return written
+
+
+_GRID_TABLES = {  # producer: (module whose writer is recorded, writer name, produce(records, dir))
+    "field": (pulsefield, "write_grid_table",
+              lambda rec, d: write_field_csv(rec["field"], d / "field.csv")),
+    "gram": (ftsi, "write_grid_table",
+             lambda rec, d: ftsi.write_interferogram_csv(rec["gram"], d / "gram.csv")),
+    "phase": (ftsi, "write_grid_table",
+              lambda rec, d: ftsi.write_phase_csv(rec["phase"], d / "phase.csv")),
+    **{fig: (figures, "_write_csv", lambda rec, d, fig=fig:
+             figures.run_figure_pipeline(RunConfig(outdir=str(d)), fig)) for fig in ("fig2", "fig4")},
+    "transfer": (cli, "write_grid_table", lambda rec, d: main(
+        ["transfer", "--thickness-um", "5.4", "--output", str(d / "transfer.csv")])),
+}
+
+
+@pytest.mark.parametrize("producer", _GRID_TABLES)
+def test_every_grid_table_reads_back_exactly(tmp_path, monkeypatch, records, producer):
+    module, name, produce = _GRID_TABLES[producer]
+    written = _recording(monkeypatch, module, name)
+    produce(records, tmp_path)
+    assert len(written) == (2 if producer.startswith("fig") else 1)
+    for path, (grid, columns) in written.items():
+        read_grid, _, read_columns = read_grid_table(path)
+        assert read_grid == grid
+        assert list(read_columns) == list(columns)
+        for column, values in columns.items():
+            assert read_columns[column].tobytes() == np.asarray(values, float).tobytes(), column
