@@ -46,40 +46,65 @@ def _setup(config: RunConfig):
     return pulse, design, shaper.transfer_exact(comp, pulse.grid), head
 
 
-def _ratio_pipeline(config: RunConfig, tag: str, outdir):
+def _ratio_tables(config: RunConfig):
+    """(grid, header lines, {table: (names, columns)}) of fig2/fig4; no column is complex.
+
+    The pulse, the transfer pair and every complex response die on return.
+    """
     pulse, design, pair, head = _setup(config)
     grid, mode, omega0 = pulse.grid, config.mode, config.omega0
     slope = design.achieved_delay / 2  # delta_k'(omega0) L/2, from the design's carrier query
     # before the response, so that zero thickness fails on its constant, not on the ratio
-    objective = shaper.objective(grid, mode, abs(slope), omega0)
+    objective = np.abs(shaper.objective(grid, mode, abs(slope), omega0).values)
     resp = shaper.effective_response(pair, mode)
-    first = shaper.linear_response(grid, mode, omega0, slope, design.achieved_omega1)
+    first = np.abs(shaper.linear_response(grid, mode, omega0, slope,
+                                          design.achieved_omega1).values)
     unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
+    return grid, head, {
+        "spectra": (["unshaped_intensity", "shaped_intensity"],
+                    [np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power]),
+        "ratio": (["ratio_exact", "ratio_objective", "ratio_first_order", "masked"],
+                  [np.abs(resp.values), objective, first, resp.masked]),
+    }
 
-    spectra = os.path.join(outdir, f"{tag}_spectra.csv")
-    _write_csv(spectra, grid, head, ["unshaped_intensity", "shaped_intensity"],
-               [np.abs(unshaped) ** 2 * power, np.abs(shaped) ** 2 * power])
 
-    ratio = os.path.join(outdir, f"{tag}_ratio.csv")
-    _write_csv(ratio, grid, head, ["ratio_exact", "ratio_objective", "ratio_first_order", "masked"],
-               [np.abs(resp.values), np.abs(objective.values), np.abs(first.values), resp.masked])
-    return [spectra, ratio]
+def _ratio_pipeline(config: RunConfig, tag: str, outdir):
+    grid, head, tables = _ratio_tables(config)
+    paths = []
+    for table in ("spectra", "ratio"):
+        paths.append(os.path.join(outdir, f"{tag}_{table}.csv"))
+        _write_csv(paths[-1], grid, head, *tables.pop(table))  # its columns die once written
+    return paths
+
+
+def _arms(config: RunConfig):
+    """(pulse, signal arm, shaped arm, header lines) of fig3/fig5, common phase included.
+
+    The transfer pair and the common phase factor die on return.
+    """
+    pulse, _, pair, head = _setup(config)
+    signal, shaped = shaper.channels(pair, config.mode)
+    common = np.exp(1j * pair.common_phase)
+    return (pulse, apply_transfer(pulse, signal * common), apply_transfer(pulse, -shaped * common),
+            head)
+
+
+def _interferograms(config: RunConfig):
+    """(gram with the device, reference gram, header lines) of fig3/fig5.
+
+    The pulse and both arms die on return, before the retrieval starts.
+    """
+    pulse, arm_signal, arm_shaped, head = _arms(config)
+    tau = config.tau_ftsi_fs * 1e-15
+    extra = config.extra_phase(pulse)
+    return (ftsi.synthesize_interferogram(arm_signal, arm_shaped, tau, extra),
+            ftsi.synthesize_interferogram(pulse, pulse, tau, extra), head)
 
 
 def _phase_pipeline(config: RunConfig, tag: str, outdir):
-    pulse, _, pair, head = _setup(config)
+    gram_with, gram_ref, head = _interferograms(config)
     omega0 = config.omega0
-    signal, shaped = shaper.channels(pair, config.mode)
-    common = np.exp(1j * pair.common_phase)
-    arm_signal = apply_transfer(pulse, signal * common)
-    arm_shaped = apply_transfer(pulse, -shaped * common)
-
-    tau = config.tau_ftsi_fs * 1e-15
-    extra = config.extra_phase(pulse)
-    gram_with = ftsi.synthesize_interferogram(arm_signal, arm_shaped, tau, extra)
-    gram_ref = ftsi.synthesize_interferogram(pulse, pulse, tau, extra)
-
     window = config.window()
     diff = ftsi.relative_phase(ftsi.retrieve_phase(gram_with, window),
                                ftsi.retrieve_phase(gram_ref, window))

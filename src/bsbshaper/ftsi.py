@@ -99,20 +99,15 @@ def synthesize_interferogram(e_a: SpectralField, e_b: SpectralField, tau_ftsi: f
     return Interferogram(grid, 0.5 * np.abs(total) ** 2, tau_ftsi)
 
 
-def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> RetrievedPhase:
-    """Extract the differential spectral phase from the +tau sideband.
+def _sideband(gram: Interferogram, window: FtsiWindow, carrier: float) -> TimeTrace:
+    """The gram's pseudo-time trace times the window around the +tau sideband.
 
-    Returns phase = omega*tau + (arg E_b - arg E_a) + extra_phase, wrapped per
-    sample; samples whose filtered amplitude falls below WEIGHT_MASK_FRACTION
-    of its maximum are masked.
+    Raises SidebandOverlapError where the window leaks the baseband.  The unfiltered
+    trace, the times and the window die here, before the caller transforms back.
     """
-    if window is None:
-        window = FtsiWindow()
     tau = gram.delay_hint
-    carrier = gram.grid.omegas[gram.grid.n_samples // 2]
     trace = to_time(SpectralField(gram.grid, gram.intensity.astype(complex), carrier))
     t = trace.times
-    mag = np.abs(trace.amplitude)
 
     if window.center_time is not None:
         t_c = window.center_time
@@ -120,7 +115,7 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
         search = t > max(tau / 2, 2 * trace.t_step)
         if not np.any(search):
             raise SidebandOverlapError("no pseudo-time samples beyond the baseband to search")
-        t_c = t[search][np.argmax(mag[search])]
+        t_c = t[search][np.argmax(np.abs(trace.amplitude[search]))]
     width = window.width if window.width is not None else tau / 3
 
     win = np.exp(-(((t - t_c) / width) ** window.order))
@@ -135,9 +130,20 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
             f"window leaks {e_base / e_side:.1%} of the sideband energy from the baseband; "
             "narrow the window or increase the delay"
         )
+    return TimeTrace(trace.n_samples, trace.t_start, trace.t_step, filtered)
 
-    cross = to_frequency(TimeTrace(trace.n_samples, trace.t_start, trace.t_step, filtered),
-                         gram.grid, carrier)
+
+def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> RetrievedPhase:
+    """Extract the differential spectral phase from the +tau sideband.
+
+    Returns phase = omega*tau + (arg E_b - arg E_a) + extra_phase, wrapped per
+    sample; samples whose filtered amplitude falls below WEIGHT_MASK_FRACTION
+    of its maximum are masked.
+    """
+    if window is None:
+        window = FtsiWindow()
+    carrier = gram.grid.omegas[gram.grid.n_samples // 2]
+    cross = to_frequency(_sideband(gram, window, carrier), gram.grid, carrier)
     weight = np.abs(cross.amplitude)
     masked = weight < WEIGHT_MASK_FRACTION * weight.max() if weight.max() > 0 \
         else np.ones(gram.grid.n_samples, dtype=bool)

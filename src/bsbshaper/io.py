@@ -67,6 +67,24 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _first_bad_row(path, width: int) -> str | None:
+    """Where and why the first data row of a table `width` columns wide is malformed.
+
+    Reads the file again, so the fast path of read_table counts no lines.
+    """
+    with open(path) as fh:
+        lines = ((n, line) for n, line in enumerate(fh, 1)
+                 if not line.startswith("#") and line.strip())
+        next(lines)  # the column-name line
+        for n, line in lines:
+            cells = line.split(",")
+            if len(cells) != width:
+                return f"line {n}: {len(cells)} cells, where the column-name line names {width}"
+            if not all(map(_is_number, cells)):
+                return f"line {n}: {line.strip()!r} holds a cell that is not a number"
+    return None
+
+
 def read_table(path, required_keys=(),
                required_columns=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """(metadata, data): the `# key=value` strings and the float columns by name.
@@ -102,6 +120,7 @@ def read_table(path, required_keys=(),
                 for part, cells in zip(parts, zip(*block, strict=True), strict=True):
                     part.append(np.fromiter(map(float, cells), float, len(cells)))
         except ValueError as exc:
-            raise ValueError(f"{path}: malformed row ({exc})") from None
+            where = _first_bad_row(path, len(names)) or exc
+            raise ValueError(f"{path}: malformed row ({where})") from None
     return metadata, {name: np.concatenate(p) if p else np.empty(0)
                       for name, p in zip(names, parts)}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ def two_peak_field(grid):
     amp = sum(gaussian_pulse(grid, 2 * np.pi * nu, 2 * np.pi * 30e12).amplitude
               for nu in (250e12, 500e12))
     return SpectralField(grid, amp, 2 * np.pi * 250e12)
+
+
+def peak_above_start(run) -> int:
+    """Bytes that run() holds at its peak above what was live when it started (tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

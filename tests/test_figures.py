@@ -4,6 +4,7 @@ import pytest
 from bsbshaper import dispersion, figures, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
+from conftest import peak_above_start
 
 
 def _read_csv(path):
@@ -168,3 +169,19 @@ def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
             calls.clear()
             figures.run_figure_pipeline(config, figure)
             assert len(calls) == expected, figure
+
+
+# Working set of a warm figure run, in complex arrays of n_samples (16 n bytes).  From 2^14 on
+# numpy reuses complex temporaries in place, as at 2^16 and 2^20.  Measured 8.1 (fig2/fig4) and
+# 8.6 (fig3/fig5); holding the pulse, the transfer pair and every response or arm to the end of
+# the run reads 11.4 and 18.2.
+WORKING_SET_SAMPLES = 2**14
+WORKING_SET_BOUND = 10
+
+
+@pytest.mark.parametrize("figure", figures.FIGURES)
+def test_figure_working_set_is_bounded(tmp_path, figure):
+    config = RunConfig(n_samples=WORKING_SET_SAMPLES, outdir=str(tmp_path))
+    figures.run_figure_pipeline(config, figure)  # fills the caches, which the bound leaves out
+    peak = peak_above_start(lambda: figures.run_figure_pipeline(config, figure))
+    assert peak / (16 * WORKING_SET_SAMPLES) <= WORKING_SET_BOUND

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import weakref
@@ -59,6 +60,22 @@ def test_figure_data_lines_pinned(tmp_path):
     assert written == FIGURE_DATA_SHA256
 
 
+# the benchmark's record of every figure output at n = 2^16, where numpy elides temporaries,
+# which it never does at 4096: there the operand order of each product shows in the bytes
+BENCHMARK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                   "reference.json")
+
+
+@pytest.mark.parametrize("figure", figures.FIGURES)
+def test_full_size_figure_data_lines_match_the_benchmark_reference(tmp_path, figure):
+    with open(BENCHMARK_REFERENCE) as fh:
+        expected = json.load(fh)["figures"][str(2**16)][figure]
+    config = RunConfig(n_samples=2**16, outdir=str(tmp_path))
+    written = {os.path.basename(path): _data_sha256(path)
+               for path in figures.run_figure_pipeline(config, figure)}
+    assert written == expected
+
+
 def test_table_roundtrip_is_exact(tmp_path):
     path = tmp_path / "table.csv"
     x = np.array([0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-17])
@@ -90,6 +107,19 @@ def test_table_malformed_row(tmp_path, body):
     path.write_text("a,b\n" + body)
     with pytest.raises(ValueError, match="malformed row"):
         read_table(path)
+
+
+@pytest.mark.parametrize("body,where", [
+    ("1.0,2.0\n# a comment\n\n3.0\n", "line 6: 1 cells, where the column-name line names 2"),
+    ("1.0,2.0\n3.0,4.0,5.0\n", "line 4: 3 cells, where the column-name line names 2"),
+    ("1.0,2.0\n1.0,abc\n", "line 4: '1.0,abc' holds a cell that is not a number"),
+])
+def test_malformed_row_names_its_line(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text("# grid=4 1.0 1.0\na,b\n" + body)
+    with pytest.raises(ValueError) as err:
+        read_table(path)
+    assert str(err.value) == f"{path}: malformed row ({where})"
 
 
 def test_table_without_column_names(tmp_path):
