@@ -288,6 +288,102 @@ def test_array_first_column_is_formatted_cell_by_cell(tmp_path):
         f"{t!r},{o!r},{int(m)}\n" for t, o, m in rows)
 
 
+def _written(names, columns):
+    out = StringIO()
+    write_table(out, [], names, columns)
+    return out.getvalue()
+
+
+def _reference(names, columns):
+    """The reference text: each cell as repr(float) or int.__repr__ writes it."""
+    cells = [map(repr if c.dtype.kind == "f" else int.__repr__, c.tolist()) for c in columns]
+    return ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _first_mismatch(names, columns):
+    """None, or (line, written, reference) at the first line where the writer differs from repr."""
+    written, reference = _written(names, columns), _reference(names, columns)
+    if written == reference:
+        return None
+    lines = zip(written.splitlines(), reference.splitlines())
+    return next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b), ("line count", 0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_cells_are_repr(values):
+    x = np.array(values)
+    assert _first_mismatch(["x", "minus_x"], [x, -x]) is None
+
+
+def test_a_million_random_bit_patterns_are_written_as_repr():
+    bits = np.random.default_rng(20201).integers(0, 2**64, (4, 250000), dtype=np.uint64,
+                                                 endpoint=False)
+    assert _first_mismatch(list("abcd"), list(bits.view(np.float64))) is None
+
+
+def _ulp_neighbours(x):
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+_BOUNDARIES = {
+    "powers of two": _ulp_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "powers of ten": _ulp_neighbours(np.array([float(f"1e{e}") for e in range(-323, 309)])),
+    "subnormals": np.random.default_rng(1).integers(1, 2**52, 20000, dtype=np.uint64)
+    .view(np.float64),
+    "short decimals": np.array([float(f"{m}e{e}") for m, e in zip(
+        np.random.default_rng(2).integers(1, 10**6, 20000),
+        np.random.default_rng(3).integers(-30, 30, 20000))]),
+    "integers": np.arange(-10**5, 10**5 + 1, dtype=float),
+    "decades": np.geomspace(1e-20, 1e20, 40001),
+    "layout edges": np.append(_ulp_neighbours(np.array([1e16, 1e-4, 1e-5, 9999999999999998.0,
+                                                        0.0, 5e-324, 1e22, 1.5e-300])),
+                              [1.7976931348623157e308, np.inf, np.nan]),
+}
+
+
+@pytest.mark.parametrize("family", _BOUNDARIES)
+def test_boundary_floats_are_written_as_repr(family):
+    x = _BOUNDARIES[family]
+    assert _first_mismatch(["x", "minus_x"], [x, -x]) is None
+
+
+def test_integer_and_boolean_cells_are_their_ints():
+    columns = [np.array([-2**63, -2**63 + 1, -1, 0, 2**63 - 1], np.int64),
+               np.array([0, 1, 10**19 - 1, 10**19, 2**64 - 1], np.uint64),
+               np.array([0, 9, 10, 99, 255], np.uint8),
+               np.array([-128, -10, 0, 10, 127], np.int8),
+               np.array([True, False, True, False, False]),
+               np.array([0.5, -2.0, 1e300, 3.0, 7e-7])]
+    assert _first_mismatch(list("abcdef"), columns) is None
+    assert _written(["a"], columns[:1]).split()[1:] == [
+        "-9223372036854775808", "-9223372036854775807", "-1", "0", "9223372036854775807"]
+
+
+def test_tables_without_rows_or_columns():
+    assert _written(["a", "b"], [np.empty(0), np.empty(0, bool)]) == "a,b\n"
+    assert _written([], []) == "\n"
+
+
+def test_columns_of_different_lengths_are_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="^column b has 3 rows, where column a has 5$"):
+        write_table(path, [], ["a", "b"], [np.arange(5.0), np.arange(3.0)])
+    with pytest.raises(ValueError, match="^column x has 3 rows, where column omega has 4$"):
+        write_table(path, [], ["omega", "x"], [SpectralGrid(4, 1.0, 0.5), np.arange(3.0)])
+    assert not path.exists()  # nothing is written
+
+
+@pytest.mark.parametrize("column", [np.array([1 + 2j, 3j]), np.array(["1.0", "2.0"]),
+                                    np.array([1.0, None], dtype=object)],
+                         ids=["complex", "text", "object"])
+def test_columns_that_would_not_read_back_are_rejected(tmp_path, column):
+    path = tmp_path / "table.csv"
+    with pytest.raises(TypeError, match="^column z: "):
+        write_table(path, [], ["a", "z"], [np.arange(2.0), column])
+    assert not path.exists()
+
+
 def test_comment_and_blank_lines_inside_the_rows_read_exactly(tmp_path, records):
     """Lines skipped inside the rows shift the file's lines against the 1024-row blocks."""
     path = tmp_path / "gram.csv"
