@@ -10,21 +10,29 @@ Integer and boolean cells are the ints.  A grid passed in place of a column stan
 for its frequency column, whose cells are made once per grid value and process.
 `pulsefield.write_grid_table` and `read_grid_table` own the `# grid=` line and
 that column.
+
+Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
+decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
+case and with an optional sign, with nothing but ASCII whitespace around it, and its
+value is float()'s.  The kernel rounds a decimal of up to 19 significant digits to the
+nearest float64 by Eisel-Lemire; the cells it cannot prove go to float() one at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import locale
 import os
+import re
 from dataclasses import astuple
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 BLOCK_ROWS = 2048  # rows formatted at a time, which bounds the writer's working set
-PARSE_ROWS = 1024  # rows parsed at a time, which bounds the reader's
+CHUNK_BYTES = 1 << 16  # bytes of rows parsed at a time, which bounds the reader's working set
 
 _U = np.uint64
 _M32, _32, _64 = _U(0xFFFFFFFF), _U(32), _U(64)
@@ -92,9 +100,8 @@ def _decode(bits):
 def _mul_hi(a, b0, b1):
     """The high words of the 128-bit products of a and b1 2^32 + b0, by 32-bit limbs."""
     a0, a1 = a & _M32, a >> _32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    mid = (a0 * b0 >> _32) + a1 * b0  # no sum here or below passes 2^64
+    return a1 * b1 + (mid >> _32) + ((mid & _M32) + a0 * b1 >> _32)
 
 
 def _times_g(gl, gh, cp):
@@ -343,12 +350,275 @@ def write_table(path, header_lines, names, columns):
             fh.write(_rows(columns, start, min(start + BLOCK_ROWS, rows)))
 
 
+_NUMBER = re.compile(rb"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                     rb"|(?i:nan|inf|infinity))")
+_BLANK = " \t\n\r\v\f"  # ASCII whitespace, the only padding a cell may have
+
+
+def _number(cell: bytes) -> float:
+    """The value of one cell, float()'s: ValueError unless, once its ASCII whitespace is
+    stripped, it is a decimal [+-](d+[.d*]|.d+)[(e|E)[+-]d+] or a nan, inf or infinity in any case
+    and with an optional sign (so no "_" and no non-ASCII digit or space, which float() takes)."""
+    if not _NUMBER.fullmatch(cell.strip()):  # bytes.strip() strips _BLANK
+        raise ValueError(f"{cell!r} is not a number")
+    return float(cell)
+
+
 def _is_number(cell: str) -> bool:
     try:
-        float(cell)
+        _number(cell.encode())
     except ValueError:
         return False
     return True
+
+
+class _ReadTables(NamedTuple):
+    p5: np.ndarray  # p5[:, q + 342]: 5^q = p5[0] 2^64 + p5[1] in [2^127, 2^128), truncated to
+    #                 128 bits as Eisel-Lemire's table holds it, for q = -342..308
+    shifted: np.ndarray  # shifted[j, u]: the bytes of window word j at offsets below u
+    digits: np.ndarray  # digits[j, 5 (24 - m) + e]: the low nibbles of the top m window bytes in
+    #                     words 0..2, and of the top e bytes of the cell's last word in row 3
+
+
+@lru_cache(maxsize=None)
+def _read_tables() -> _ReadTables:
+    """The reader's tables, built exactly from Python ints on the first read."""
+    p5 = []
+    for q in range(-342, 309):
+        if q >= 0:  # 5^q with its top bit moved to bit 127, truncated
+            r = (5 ** q).bit_length() - 128
+            p5.append(5 ** q >> r if r >= 0 else 5 ** q << -r)
+        else:  # 1 / 5^-q, one above its floor, then truncated
+            z = (5 ** -q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
+            p5.append(c >> max(c.bit_length() - 128, 0))
+    b = np.clip(np.arange(25) - 8 * np.arange(3)[:, None], 0, 8).astype(_U)
+    below = ~(~_U(0) << (b << _U(3)))  # bytes at offsets below u in word j
+    digits = np.zeros((4, 125), _U)
+    digits[:3] = np.repeat(~below, 5, axis=1)  # bytes from offset 24 - m on
+    digits[3] = np.tile(~below[2, :-6:-1], 25)  # the top e bytes of a word
+    digits &= _U(0x0F0F0F0F0F0F0F0F)
+    tables = _ReadTables(np.array([[x >> 64 for x in p5], [x % 2**64 for x in p5]], _U), below,
+                         digits)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_ZERO, _COMMA, _NEWLINE, _POINT, _PLUS, _MINUS, _LOWER_E = (np.uint8(ord(c)) for c in "0,\n.+-e")
+_NINE, _NOT_2, _CASE = np.uint8(9), np.uint8(0xFD), np.uint8(0x20)
+_8, _56, _63 = _U(8), _U(56), _U(63)
+_LOW9 = _U(0x1FF)
+_WORDS = np.arange(5)[:, None]  # the aligned words that hold a 32-byte window
+_HEAD = b"0" * 24  # digits before a chunk's rows, so that no cell's window starts before them
+_END = bytes(16)  # after them, for the aligned words of the last cell
+
+
+def _sign(c):
+    """1 where a byte is "+" or "-", else 0."""
+    return (((c - _PLUS) & _NOT_2) == 0).astype(np.int64)
+
+
+def _parse_cells(buf: bytes, n: int):
+    """(values, redo, starts, ends, newline) of the cells in buf[len(_HEAD):n], whole lines of
+    cells that "," or a newline ends: the float64 of each cell, the indices of the cells the
+    kernel cannot prove (their values are garbage), where each cell starts and ends, and
+    whether a newline ends it.
+
+    A proved cell is [+-]digits with at most one point, then maybe e or E, [+-] and 1 to 4
+    digits, with 1 to 23 mantissa digits of which at most 19 after its leading zeros, and a
+    normal float64 for its value.  Its value is the mantissa w times 10^q, rounded by
+    Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second", 2021), which needs no
+    fallback for such w (N. Mushtak and D. Lemire, "Fast number parsing without fallback",
+    2023): the 64x64-bit product of w and 5^q's top word, the product with its low word only
+    where the first leaves the result in doubt, and the round-to-even tie check.
+    """
+    t = _read_tables()
+    b = np.frombuffer(buf, np.uint8)
+    ev = np.flatnonzero((b[:n] - _ZERO) > _NINE)  # the events: every byte that is no digit
+    kind = b.take(ev)
+    seps = np.flatnonzero((kind == _COMMA) | (kind == _NEWLINE))  # the event that ends each cell
+    if not seps.size:
+        empty = np.empty(0, np.int64)
+        return np.empty(0), empty, empty, empty, np.empty(0, bool)
+    newline = kind.take(seps) == _NEWLINE
+    ends = ev.take(seps)
+    starts = np.concatenate(([len(_HEAD)], ends[:-1] + 1))
+    # a cell's non-digits, in order: a sign at its first byte, a point, a marker, a sign after
+    # it; it is well formed when these account for every one
+    c = b.take(starts)
+    negative = c == _MINUS
+    sign = _sign(c)
+    i = np.concatenate(([0], seps[:-1] + 1))
+    i += sign  # its first non-digit after the sign
+    at_point = ev.take(i)
+    point = (kind.take(i) == _POINT).astype(np.int64)
+    i += point
+    marker = ((kind.take(i) | _CASE) == _LOWER_E).astype(np.int64)
+    mend = ev.take(i)  # where the mantissa ends: the marker, or the cell's end
+    del ev, kind  # each array goes once used, which bounds a chunk's working set
+    c = b.take(mend + 1)
+    exp_sign = _sign(c) & marker
+    minus = (c == _MINUS).astype(np.int64) & marker
+    i += marker
+    i += exp_sign
+    ok = i == seps
+    del i, seps, c
+    m = mend - starts - sign - point  # mantissa digits
+    ok &= (m - 1).view(_U) <= _U(22)
+    e = ends - mend - marker - exp_sign  # exponent digits
+    ok &= (e <= 4) & (e >= marker)
+    digits = t.digits.take((24 - m) * 5 + e, axis=1, mode="clip")
+    del m, e, sign, marker, exp_sign
+    # the mantissa right-aligned in a 24-byte window ending at mend, where the bytes below the
+    # point move up one byte over it, and the cell's last 8 bytes, which end with the exponent
+    at = mend - 24
+    r = ((at & 7) << 3).astype(_U)
+    words = np.frombuffer(buf, _CELL_WORD, len(buf) // 8).take((at >> 3) + _WORDS)
+    x = words[:4] >> r
+    words[1:] <<= _64 - r
+    x |= words[1:]
+    del words
+    r = ((ends - mend) << 3).astype(_U)
+    np.bitwise_or(x[2] >> r, x[3] << (_64 - r), out=x[3])
+    up = (at_point - at + 1) * point  # one past the point's offset in the window; 0 for none
+    del at, at_point, mend, r
+    moved = x[:3] << _8
+    moved[1:] |= x[:2] >> _56
+    moved ^= x[:3]
+    moved &= t.shifted.take(up, axis=1, mode="clip")
+    x[:3] ^= moved
+    del moved
+    x &= digits
+    del digits
+    # each word's 8 digits, the first in its lowest byte, as an integer (SWAR)
+    x *= _U(2561)
+    x >>= _8
+    x &= _U(0x00FF00FF00FF00FF)
+    x *= _U(6553601)
+    x >>= _U(16)
+    x &= _U(0x0000FFFF0000FFFF)
+    x *= _U(42949672960001)
+    x >>= _32
+    ok &= x[0] < _U(1000)  # at most 19 digits
+    w = x[0] * _U(10**16)
+    w += x[1] * _U(10**8)
+    w += x[2]
+    q = x[3].view(np.int64) ^ -minus
+    q += minus
+    q += up
+    q -= 24 * point
+    del x, up, point, minus
+    # Eisel-Lemire: w, normalised to 64 bits, times 5^q's top word, and times its low word too
+    # where the 9 bits below the 55 the result keeps are all set, so that a carry could reach them
+    top = (w & ~(w >> _U(1))).astype(np.float64).view(_U) >> _U(52)  # w's biased exponent
+    nonzero = w != 0
+    w <<= _U(1086) - top
+    q += 342
+    ok &= (q.view(_U) <= _U(650)) | ~nonzero
+    p5 = t.p5[0].take(q, mode="clip")
+    w0, w1 = w & _M32, w >> _32
+    hi = _mul_hi(p5, w0, w1)
+    lo = p5 * w
+    doubt = np.flatnonzero((hi & _LOW9) == _LOW9)
+    if doubt.size:
+        more = _mul_hi(t.p5[1].take(q.take(doubt), mode="clip"), w0.take(doubt), w1.take(doubt))
+        low = lo.take(doubt) + more
+        lo[doubt] = low
+        hi[doubt] += low < more
+    q -= 342
+    del p5, w, w0, w1
+    upper = hi >> _63
+    drop = upper + _U(9)
+    mantissa = hi >> drop
+    # a tie, which only 5^q for q in -4..23 can make, rounds to even: the bits dropped are 0
+    # and the two lowest kept are 01
+    tie = hi << (_U(62) - drop) == _U(1 << 62)
+    tie &= lo <= _U(1)
+    tie &= (q + 4).view(_U) <= _U(27)
+    mantissa -= tie
+    del hi, lo, drop, tie
+    mantissa += mantissa & _U(1)
+    mantissa >>= _U(1)
+    p2 = q  # from here on the biased binary exponent, in place
+    p2 *= 217706
+    p2 >>= 16  # floor(q log2(10))
+    p2 += (upper + top).view(np.int64)
+    ok &= (p2 >= 1) | ~nonzero  # else subnormal
+    p2 -= 1
+    p2 <<= 52
+    bits = p2.view(_U)
+    bits += mantissa  # a carry out of the mantissa raises the exponent
+    ok &= (bits < _U(0x7FF0000000000000)) | ~nonzero
+    bits *= nonzero
+    bits |= negative.astype(_U) << _63
+    return bits.view(np.float64), np.flatnonzero(~ok), starts, ends, newline
+
+
+def _data_lines(buf: bytes, n: int) -> bytes | None:
+    """buf without its comment and blank lines, or None when it has none."""
+    b = np.frombuffer(buf, np.uint8, n - len(_HEAD), len(_HEAD))
+    ends = np.flatnonzero(b == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    space = (b == 32) | ((b >= 9) & (b <= 13))
+    drop = ~np.logical_or.reduceat(~space, starts) | (b.take(starts) == ord("#"))
+    if not drop.any():
+        return None
+    return b"".join((_HEAD, b[np.repeat(~drop, ends - starts + 1)].tobytes(), _END))
+
+
+def _parse_rows(buf: bytes, width: int) -> np.ndarray:
+    """The cells of a buffer of rows, row by row; ValueError for a row of other than `width`
+    cells or a cell that is not a number."""
+    values, redo, starts, ends, newline = _parse_cells(buf, len(buf) - len(_END))
+    rows_ok = not newline.size % width and newline[width - 1::width].all() \
+        and np.count_nonzero(newline) == newline.size // width
+    if redo.size or not rows_ok:
+        lines = _data_lines(buf, len(buf) - len(_END))
+        if lines is not None:
+            return _parse_rows(lines, width)
+        if not rows_ok:
+            raise ValueError("a row of other than the named cells")
+        values[redo] = [_number(buf[s:e]) for s, e in zip(starts[redo], ends[redo])]
+    return values
+
+
+def _blocks(fh):
+    """The rest of `fh`, about CHUNK_BYTES at a time, with universal newlines (a \\r\\n that
+    two blocks split leaves a blank line, which the reader skips)."""
+    while block := fh.read(CHUNK_BYTES):
+        yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
+
+
+def _head(blocks, encoding: str):
+    """(metadata, names, rest): the `# key=value` strings and the column names of a table's
+    first lines, and the blocks that follow the column-name line."""
+    metadata, text, start = {}, b"", 0
+    for block in chain(blocks, [b"\n"]):  # the newline ends a last line that has none
+        text, start = text[start:] + block, 0
+        while (end := text.find(b"\n", start)) >= 0:
+            line, start = text[start:end].decode(encoding), end + 1
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition("=")
+                if sep:
+                    metadata[key] = value
+            elif line.strip():
+                return metadata, line.strip().split(","), chain([text[start:]], blocks)
+    return metadata, [], iter(())
+
+
+def _row_chunks(blocks):
+    """The blocks in buffers of whole lines between _HEAD and _END."""
+    rest = b""
+    for block in blocks:
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((_HEAD, rest, memoryview(block)[:cut], _END))
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield b"".join((_HEAD, rest, b"\n", _END))
 
 
 def _first_bad_row(path, width: int) -> str | None:
@@ -356,16 +626,16 @@ def _first_bad_row(path, width: int) -> str | None:
 
     Reads the file again, so the fast path of read_table counts no lines.
     """
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         lines = ((n, line) for n, line in enumerate(fh, 1)
-                 if not line.startswith("#") and line.strip())
+                 if not line.startswith("#") and line.strip(_BLANK))
         next(lines)  # the column-name line
         for n, line in lines:
             cells = line.split(",")
             if len(cells) != width:
                 return f"line {n}: {len(cells)} cells, where the column-name line names {width}"
             if not all(map(_is_number, cells)):
-                return f"line {n}: {line.strip()!r} holds a cell that is not a number"
+                return f"line {n}: {line.strip(_BLANK)!r} holds a cell that is not a number"
     return None
 
 
@@ -375,18 +645,11 @@ def read_table(path, required_keys=(),
 
     Raises ValueError when the column-name line is missing (no line, or a first
     non-comment line of numbers) or names a column twice, a required metadata key
-    or column is missing or a row is malformed.
+    or column is missing or a row is malformed: it has other than one cell per name,
+    or a cell that is not a number by the rule of `_number`.
     """
-    metadata, names = {}, []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition("=")
-                if sep:
-                    metadata[key] = value
-            elif line.strip():
-                names = line.strip().split(",")
-                break
+    with open(path, "rb") as fh:
+        metadata, names, blocks = _head(_blocks(fh), locale.getpreferredencoding(False))
         if not names or any(map(_is_number, names)):
             raise ValueError(f"{path}: no column-name line before the data rows")
         if twice := [name for i, name in enumerate(names) if name in names[:i]]:
@@ -397,14 +660,11 @@ def read_table(path, required_keys=(),
         missing = [c for c in required_columns if c not in names]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        parts = [[] for _ in names]
-        rows = (line.split(",") for line in fh if not line.startswith("#") and line.strip())
+        width = len(names)
         try:
-            while block := list(islice(rows, PARSE_ROWS)):
-                for part, cells in zip(parts, zip(*block, strict=True), strict=True):
-                    part.append(np.fromiter(map(float, cells), float, len(cells)))
+            chunks = [_parse_rows(rows, width) for rows in _row_chunks(blocks)]
         except ValueError as exc:
-            where = _first_bad_row(path, len(names)) or exc
+            where = _first_bad_row(path, width) or exc
             raise ValueError(f"{path}: malformed row ({where})") from None
-    return metadata, {name: np.concatenate(p) if p else np.empty(0)
-                      for name, p in zip(names, parts)}
+    return metadata, {name: np.concatenate([c[j::width] for c in chunks]) if chunks else np.empty(0)
+                      for j, name in enumerate(names)}
