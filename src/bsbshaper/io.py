@@ -6,10 +6,10 @@ made by one vectorised kernel, a block of rows at a time.  A float cell holds th
 shortest decimal digits that read back as the float, the nearest such and ties to
 even (Schubfach: Giulietti, "The Schubfach way to render doubles", 2020), laid out as
 `repr(float)` lays them out, so its bytes are repr's and it reads back exactly.
-Integer and boolean cells are the ints.  A grid passed in place of a column stands
-for its frequency column, whose cells are made once per grid value and process.
-`pulsefield.write_grid_table` and `read_grid_table` own the `# grid=` line and
-that column.
+Integer and boolean cells are the ints.  A grid's `GridCells` (`grid_cells`), passed in
+place of a column, stands for its frequency column; they hold that column's cells and
+the grid's `# grid=` line, made once per grid value and process.
+`pulsefield.write_grid_table` and `read_grid_table` place and read that line and column.
 
 Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
 decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
@@ -57,6 +57,8 @@ class _Tables(NamedTuple):
     below: np.ndarray  # below[i, b]: the bytes below byte b of a cell's 3 words, in word i
     one: np.ndarray  # one[i, b]: 1 in byte b of a cell's 3 words, in word i
     text: np.ndarray  # text[i, 25 p + e]: "0" in the bytes below e but "." in byte p, in word i
+    suffix: np.ndarray  # suffix[dp + 323]: "e", the sign and the exponent's digits of a cell whose
+    #                     point goes after dp digits, for dp = -323..309; 0 where it is positional
 
 
 @lru_cache(maxsize=None)
@@ -76,9 +78,11 @@ def _tables() -> _Tables:
     below = ~_U(0) >> (_64 - (b << _U(3)))
     one = (below[:, 1:] ^ below[:, :-1]) & _U(0x0101010101010101)
     text = (_ASCII0 - (one[:, :, None] << _U(1))) & below[:, None, :-1]  # "." is "0" less 2
+    suffix = [0 if -3 <= dp <= 16 else int.from_bytes(f"e{dp - 1:+03d}".encode(), "little")
+              for dp in range(-323, 310)]
     tables = _Tables(np.array([x >> 64 for x in g], _U), np.array([x % 2**64 for x in g], _U),
                      np.array([10**i for i in range(20)], _U), quads,
-                     below, one, text.reshape(3, -1))
+                     below, one, text.reshape(3, -1), np.array(suffix, _U))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -230,16 +234,13 @@ def _float_cells(x) -> np.ndarray:
         cells[:, i] = (low | high << _U(8) | carry) + t.text[i][text_at]
         carry = high >> _U(56)
     cells[:, 0] -= (3 * neg).view(_U)  # the sign, in place of a leading "0"
+    if expo.any():  # after the digits, from byte end: "e", the sign and the exponent's digits
+        suffix = t.suffix[dp + 323]  # 0 for a positional cell
+        bit = (end << 3).view(_U)  # a shift by 64 bits or more gives 0 in numpy
+        cells[:, 0] |= suffix << bit
+        for i in (1, 2):
+            cells[:, i] |= suffix << (bit - _U(64 * i)) | suffix >> (_U(64 * i) - bit)
     chars = cells.view(np.uint8)
-    ex = np.flatnonzero(expo & ok)
-    if ex.size:  # after the digits: "e", the sign and two or three digits of the exponent
-        e = dp[ex] - 1
-        width = 2 + (np.abs(e) >= 100)
-        digits = t.quads[np.abs(e)].astype(_U) >> (_U(8) * (4 - width).astype(_U))
-        sign = np.where(e < 0, ord("-"), ord("+")).astype(_U)
-        suffix = (digits + (_ASCII0 & t.below[0][width])) << _U(16) | sign << _U(8) | _U(ord("e"))
-        at_end = (ex * _WIDTH + end[ex])[:, None] + np.arange(5)
-        chars.reshape(-1)[at_end] = suffix.astype(_CELL_WORD)[:, None].view(np.uint8)[:, :5]
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         chars[bad] = _SPECIAL[np.where(np.isnan(x[bad]), 0, 1 + (x[bad] < 0))]
@@ -267,12 +268,21 @@ def _cells(values) -> np.ndarray:
     return _int_cells(values.astype(np.int64 if values.dtype.kind == "i" else _U, copy=False))
 
 
-@lru_cache(maxsize=8)  # grids whose cells are kept, least recently used dropped
-def _frequency_cells(grid_type, *fields) -> tuple[np.ndarray, ...]:
-    """The cells of a grid's `omegas`, one read-only byte array per block of BLOCK_ROWS rows,
-    as wide as its longest cell.
+class GridCells(NamedTuple):
+    """What a grid writes into a table, made once per grid value and process."""
 
-    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept.
+    line: str  # its `# grid=` line: the sample count, the first frequency and the step
+    rows: int  # its sample count
+    blocks: tuple[np.ndarray, ...]  # the cells of its `omegas`, one read-only byte array per
+    #                                 block of BLOCK_ROWS rows, as wide as its longest cell
+
+
+@lru_cache(maxsize=8, typed=True)  # grids whose cells are kept, least recently used dropped
+def _frequency_cells(grid_type, *fields) -> GridCells:
+    """The GridCells of the grid `grid_type(*fields)`.
+
+    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept, and
+    by their types, for an int field writes other digits than a float one.
     """
     w = grid_type(*fields).omegas
     blocks = []
@@ -281,11 +291,17 @@ def _frequency_cells(grid_type, *fields) -> tuple[np.ndarray, ...]:
         cells = cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1].copy()
         cells.setflags(write=False)
         blocks.append(cells)
-    return tuple(blocks)
+    return GridCells(meta_line("grid", *fields), len(w), tuple(blocks))
+
+
+def grid_cells(grid) -> GridCells:
+    """The `# grid=` line and the frequency cells of a grid (an object with `omegas` whose
+    dataclass fields are its sample count, first frequency and step)."""
+    return _frequency_cells(type(grid), *astuple(grid))
 
 
 def _checked_columns(names, columns) -> tuple[list, int]:
-    """(columns, rows): each array column as an array, each grid as its frequency cells.
+    """(columns, rows): each array column as an array, and each GridCells.
 
     A name too many or too few, a column of other than float, integer or boolean values, or
     columns of different lengths raise, so that no row is dropped nor a cell written that
@@ -295,9 +311,9 @@ def _checked_columns(names, columns) -> tuple[list, int]:
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
     checked, lengths = [], []
     for name, column in zip(names, columns):
-        if hasattr(column, "omegas"):  # a grid stands for its frequency column
-            checked.append(_frequency_cells(type(column), *astuple(column)))
-            lengths.append(column.n_samples)
+        if isinstance(column, GridCells):  # a grid's cells stand for its frequency column
+            checked.append(column)
+            lengths.append(column.rows)
             continue
         column = np.asarray(column)
         if column.dtype.kind not in "fiub":
@@ -315,22 +331,30 @@ def _checked_columns(names, columns) -> tuple[list, int]:
     return checked, rows
 
 
+_BOOL_CELLS = np.frombuffer(b"01", np.uint8)  # the cell of False and of True, one byte each
+
+
 def _rows(columns, start, stop) -> str:
     """Rows start..stop of the table: each cell, then "," or, after the last, a newline."""
     rows = stop - start
     slab = np.zeros((rows, len(columns), _WIDTH + 1), np.uint8)  # NULs are dropped at the end
     slab[:, :, _WIDTH] = ord(",")
     slab[:, -1, _WIDTH] = ord("\n")
-    groups = {}  # array columns by a kind that concatenates exactly: float, signed, unsigned
+    groups = {}  # array columns by a kind that concatenates exactly: float, signed, unsigned, bool
     for j, column in enumerate(columns):
-        if isinstance(column, tuple):  # a grid's frequency cells
-            cells = column[start // BLOCK_ROWS]
+        if isinstance(column, GridCells):
+            cells = column.blocks[start // BLOCK_ROWS]
             slab[:, j, :cells.shape[1]] = cells
         else:
-            groups.setdefault(column.dtype.kind.replace("b", "u"), []).append(j)  # bool is 0/1
-    for group in groups.values():  # one kernel call per kind formats the block's columns
-        cells = _cells(np.concatenate([columns[j][start:stop] for j in group]))
-        slab[:, group, :_WIDTH] = cells.reshape(len(group), rows, _WIDTH).swapaxes(0, 1)
+            groups.setdefault(column.dtype.kind, []).append(j)
+    for kind, group in groups.items():  # one call per kind formats the block's columns
+        values = np.concatenate([columns[j][start:stop] for j in group])
+        if kind == "b":  # a byte lookup, not the kernel, into the last byte as an int cell has it
+            slab[:, group, _WIDTH - 1] = \
+                _BOOL_CELLS[values.astype(np.uint8)].reshape(len(group), rows).T
+        else:
+            slab[:, group, :_WIDTH] = \
+                _cells(values).reshape(len(group), rows, _WIDTH).swapaxes(0, 1)
     return slab[slab != 0].tobytes().decode("ascii")
 
 
@@ -362,6 +386,23 @@ def _number(cell: bytes) -> float:
     if not _NUMBER.fullmatch(cell.strip()):  # bytes.strip() strips _BLANK
         raise ValueError(f"{cell!r} is not a number")
     return float(cell)
+
+
+def meta_values(text: str, types) -> list:
+    """One value of each type in `types` (int or float) from the text after `# key=`, split at
+    ASCII whitespace: a float by the cell rule of `_number`, an int in ASCII digits only.
+
+    Raises ValueError for a value too many or too few, or one that does not parse.
+    """
+    cells = text.encode().split()
+    if len(cells) != len(types):
+        raise ValueError(f"{len(cells)} values for {len(types)}")
+    values = []
+    for kind, cell in zip(types, cells):
+        if kind is int and not cell.isdigit():
+            raise ValueError(f"{cell!r} is not an integer")
+        values.append(int(cell) if kind is int else _number(cell))
+    return values
 
 
 def _is_number(cell: str) -> bool:

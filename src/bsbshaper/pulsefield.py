@@ -9,12 +9,13 @@ is -i omega T.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BsbShaperError, GridMismatchError, SupportLeakError
-from .io import meta_line, read_table, write_table
+from .io import grid_cells, meta_line, meta_values, read_table, write_table
 
 EDGE_LEAK_FRACTION = 1e-6
 BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity, the edge of a field's band
@@ -67,18 +68,21 @@ class SpectralGrid:
 
 def write_grid_table(path, grid: SpectralGrid, header_lines, names, columns):
     """`header_lines`, the `# grid=` line, then `omega_rad_per_s` and the named columns."""
-    write_table(path, [*header_lines, meta_line("grid", *astuple(grid))],
-                ["omega_rad_per_s", *names], [grid, *columns])
+    cells = grid_cells(grid)
+    write_table(path, [*header_lines, cells.line], ["omega_rad_per_s", *names], [cells, *columns])
 
 
 def read_grid_table(path, keys=(), names=()) -> tuple[SpectralGrid, dict, dict]:
     """(grid, the metadata `keys` as floats, every column but `omega_rad_per_s`) of a table
-    `write_grid_table` wrote; each frequency cell must hold the grid's value, as a float."""
+    `write_grid_table` wrote; each frequency cell must hold the grid's value, as a float.
+
+    Metadata values parse by the cell rule, the sample count as ASCII digits only.
+    """
     meta, data = read_table(path, ("grid", *keys), ("omega_rad_per_s", *names))
     values = {}
     for key, types in [("grid", (int, float, float)), *((key, (float,)) for key in keys)]:
         try:
-            values[key] = [t(cell) for t, cell in zip(types, meta[key].split(), strict=True)]
+            values[key] = meta_values(meta[key], types)
         except ValueError:
             raise ValueError(f"{path}: # {key}= needs {' '.join(t.__name__ for t in types)}, "
                              f"got {meta[key]!r}") from None
@@ -217,27 +221,62 @@ def replica_difference(field: SpectralField, tau: float) -> SpectralField:
     return SpectralField(field.grid, -1j * np.sin(w * tau / 2) * field.amplitude, field.omega0)
 
 
+class _Chirps(NamedTuple):
+    time_pre: np.ndarray  # to_time: exp(-i k omega_step t_start), before the FFT
+    time_post: np.ndarray  # to_time: omega_step / 2pi exp(-i omega_start t), after it
+    frequency_pre: np.ndarray  # to_frequency: exp(i omega_start j t_step), before the IFFT
+    frequency_post: np.ndarray  # to_frequency: exp(i omega t_start), after it
+
+
+@lru_cache(maxsize=1, typed=True)  # the last grid's chirps
+def _chirps(grid_type, n_samples, omega_start, omega_step, t_step, t_start) -> _Chirps:
+    """The grid-only factors of `to_time` and `to_frequency`, each read-only, for the grid and
+    a trace sampled at `t_start + t_step * k`.
+
+    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept.
+    """
+    grid = grid_type(n_samples, omega_start, omega_step)
+    k = np.arange(n_samples)
+    t = t_start + t_step * k
+    chirps = _Chirps(np.exp(-1j * k * omega_step * t_start),
+                     omega_step / (2 * np.pi) * np.exp(-1j * omega_start * t),
+                     np.exp(1j * omega_start * k * t_step),
+                     np.exp(1j * grid.omegas * t_start))
+    for chirp in chirps:
+        chirp.setflags(write=False)
+    return chirps
+
+
+# numpy's NPY_MIN_ELIDE_BYTES: from this size `a * np.exp(z)` reuses the temporary exp(z)
+# in place, as exp(z) *= a
+_ELIDE_BYTES = 1 << 18
+
+
+def _times_chirp(a: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+    """`a * chirp` as `a * np.exp(z)` rounds it: complex products round differently by operand
+    order under FMA, and numpy multiplies exp(z) first from _ELIDE_BYTES on, `a` first below."""
+    return chirp * a if a.nbytes >= _ELIDE_BYTES else a * chirp
+
+
 def to_time(field: SpectralField) -> TimeTrace:
     """Transform to a centered time window of length 2pi/omega_step."""
-    n = field.grid.n_samples
-    dt = field.grid.time_step
-    t_start = -(n // 2) * dt
-    k = np.arange(n)
-    pre = field.amplitude * np.exp(-1j * k * field.grid.omega_step * t_start)
-    spec = np.fft.fft(pre)
-    t = t_start + dt * k
-    amp = field.grid.omega_step / (2 * np.pi) * np.exp(-1j * field.grid.omega_start * t) * spec
-    return TimeTrace(n, t_start, dt, amp)
+    grid = field.grid
+    dt = grid.time_step
+    t_start = -(grid.n_samples // 2) * dt
+    chirps = _chirps(type(grid), *astuple(grid), dt, t_start)
+    spec = np.fft.fft(_times_chirp(field.amplitude, chirps.time_pre))
+    # chirp first at every size, as in (omega_step / 2pi exp(z)) * spec, whose left operand
+    # is the temporary
+    return TimeTrace(grid.n_samples, t_start, dt, chirps.time_post * spec)
 
 
 def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> SpectralField:
     """Inverse of to_time for a trace produced on (or consistent with) `grid`."""
-    j = np.arange(grid.n_samples)
-    pre = grid.samples(trace.amplitude, complex, "time trace") \
-        * np.exp(1j * grid.omega_start * j * trace.t_step)
+    amplitude = grid.samples(trace.amplitude, complex, "time trace")
+    chirps = _chirps(type(grid), *astuple(grid), trace.t_step, trace.t_start)
+    pre = _times_chirp(amplitude, chirps.frequency_pre)
     spec = np.fft.ifft(pre) * grid.n_samples * trace.t_step
-    amp = spec * np.exp(1j * grid.omegas * trace.t_start)
-    return SpectralField(grid, amp, omega0)
+    return SpectralField(grid, _times_chirp(spec, chirps.frequency_post), omega0)
 
 
 def write_field_csv(field: SpectralField, path):

@@ -279,7 +279,7 @@ def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
     bound = cells.cache_info().maxsize
     for k in range(bound + 3):
         grid = SpectralGrid(4, 1.0 + k, 0.5)
-        write_table(path, [], ["omega_rad_per_s"], [grid])
+        write_table(path, [], ["omega_rad_per_s"], [table_io.grid_cells(grid)])
         assert path.read_text().split()[1:] == list(map(repr, grid.omegas.tolist()))
     assert cells.cache_info().currsize == bound
 
@@ -437,7 +437,8 @@ def test_columns_of_different_lengths_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="^column b has 3 rows, where column a has 5$"):
         write_table(path, [], ["a", "b"], [np.arange(5.0), np.arange(3.0)])
     with pytest.raises(ValueError, match="^column x has 3 rows, where column omega has 4$"):
-        write_table(path, [], ["omega", "x"], [SpectralGrid(4, 1.0, 0.5), np.arange(3.0)])
+        write_table(path, [], ["omega", "x"],
+                    [table_io.grid_cells(SpectralGrid(4, 1.0, 0.5)), np.arange(3.0)])
     assert not path.exists()  # nothing is written
 
 
@@ -481,7 +482,16 @@ def test_reading_a_table_holds_at_most_nine_float_columns(tmp_path):
     ("grid", "# grid=4096 942477796076937.9"),
     ("grid", "# grid=4096.0 942477796076937.9 690291354548.5386"),
     ("omega0", "# omega0=abc"),
-], ids=["two-grid-values", "float-sample-count", "word-carrier"])
+    # what int() and float() take but the cell rule does not
+    ("grid", "# grid=4_096 942477796076937.9 690291354548.5386"),
+    ("grid", "# grid=+4096 942477796076937.9 690291354548.5386"),
+    ("grid", "# grid=\uff14\uff10\uff19\uff16 942477796076937.9 690291354548.5386"),
+    ("grid", "# grid=4096 942_477_796_076_937.9 690291354548.5386"),
+    ("grid", "# grid=4096\u2003942477796076937.9 690291354548.5386"),
+    ("omega0", "# omega0=\u0662354564459136066.0"),
+], ids=["two-grid-values", "float-sample-count", "word-carrier", "underscore-sample-count",
+        "signed-sample-count", "fullwidth-sample-count", "underscore-start", "em-space",
+        "arabic-indic-carrier"])
 def test_bad_metadata_value_names_the_file_and_key(tmp_path, records, key, line):
     path = tmp_path / "field.csv"
     write_field_csv(records["field"], path)

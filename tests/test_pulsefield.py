@@ -1,9 +1,12 @@
+import weakref
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsbshaper import ftsi, metrology, shaper
+from bsbshaper import ftsi, metrology, pulsefield, shaper
 from bsbshaper.errors import GridMismatchError, SupportLeakError
 from bsbshaper.pulsefield import (SpectralField, SpectralGrid, apply_transfer,
                                   default_grid, derivative_field_oracle,
@@ -65,6 +68,61 @@ def test_parseval(pulse100):
     trace = to_time(pulse100)
     # energy convention: integral |E(t)|^2 dt = integral |E(w)|^2 dw / 2pi
     assert trace.energy() == pytest.approx(pulse100.energy() / (2 * np.pi), rel=1e-9)
+
+
+def _to_time_uncached(field):
+    """to_time's amplitude with every chirp computed afresh, as the expressions were written."""
+    n = field.grid.n_samples
+    dt = field.grid.time_step
+    t_start = -(n // 2) * dt
+    k = np.arange(n)
+    pre = field.amplitude * np.exp(-1j * k * field.grid.omega_step * t_start)
+    spec = np.fft.fft(pre)
+    t = t_start + dt * k
+    return field.grid.omega_step / (2 * np.pi) * np.exp(-1j * field.grid.omega_start * t) * spec
+
+
+def _to_frequency_uncached(trace, grid):
+    """to_frequency's amplitude with every chirp computed afresh."""
+    j = np.arange(grid.n_samples)
+    pre = trace.amplitude * np.exp(1j * grid.omega_start * j * trace.t_step)
+    spec = np.fft.ifft(pre) * grid.n_samples * trace.t_step
+    return spec * np.exp(1j * grid.omegas * trace.t_start)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14, 2**15])  # 2^14 complex samples is where numpy
+def test_cached_chirps_give_the_uncached_bits(n):    # starts to reuse temporaries in place
+    """An interferogram's pseudo-time transform and back, as the FTSI retrieval runs them: its
+    products round differently by operand order, which a random field's do not show."""
+    grid = default_grid(n)
+    pulse = gaussian_pulse(grid, OMEGA0_800, 2 * np.pi * 100e12)
+    gram = ftsi.synthesize_interferogram(pulse, pulse, 1e-12)
+    field = SpectralField(grid, gram.intensity.astype(complex), OMEGA0_800)
+    pulsefield._chirps.cache_clear()
+    for _ in ("cold", "warm"):
+        trace = to_time(field)
+        assert _same_bits(trace.amplitude, _to_time_uncached(field))
+        back = to_frequency(trace, grid, OMEGA0_800)
+        assert _same_bits(back.amplitude, _to_frequency_uncached(trace, grid))
+    assert pulsefield._chirps.cache_info()[:2] == (3, 1)  # (hits, misses): one build per grid
+
+
+def test_cached_chirps_are_read_only_and_keep_no_grid():
+    grid = SpectralGrid(1024, 2e15, 1e12)
+    trace = to_time(SpectralField(grid, np.ones(grid.n_samples), grid.omegas[512]))
+    hits = pulsefield._chirps.cache_info().hits
+    chirps = pulsefield._chirps(type(grid), *astuple(grid), trace.t_step, trace.t_start)
+    assert pulsefield._chirps.cache_info().hits == hits + 1  # the chirps to_time built
+    for chirp in chirps:
+        with pytest.raises(ValueError, match="read-only"):
+            chirp[0] = 0
+    gone = weakref.ref(grid)
+    del grid
+    assert gone() is None  # the cache holds the grid's fields, not the grid nor its omegas
 
 
 def test_spectral_delay_factor_shifts_time_peak(pulse100, grid):
