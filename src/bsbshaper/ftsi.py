@@ -69,6 +69,8 @@ class FtsiWindow:
     def __post_init__(self):
         if self.order < 2 or self.order % 2:
             raise ValueError("window order must be an even integer >= 2")
+        if self.center_time is not None and not -np.inf < self.center_time < np.inf:
+            raise ValueError(f"window center must be finite, got {self.center_time} s")
         if self.width is not None and not 0 < self.width < np.inf:  # NaN fails too
             raise ValueError(f"window width must be finite and positive, got {self.width} s")
 
@@ -130,7 +132,7 @@ def _sideband(gram: Interferogram, window: FtsiWindow, carrier: float) -> TimeTr
             f"window leaks {e_base / e_side:.1%} of the sideband energy from the baseband; "
             "narrow the window or increase the delay"
         )
-    return TimeTrace(trace.n_samples, trace.t_start, trace.t_step, filtered)
+    return TimeTrace(trace.t_start, trace.t_step, filtered)
 
 
 def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> RetrievedPhase:
@@ -138,15 +140,17 @@ def retrieve_phase(gram: Interferogram, window: FtsiWindow | None = None) -> Ret
 
     Returns phase = omega*tau + (arg E_b - arg E_a) + extra_phase, wrapped per
     sample; samples whose filtered amplitude falls below WEIGHT_MASK_FRACTION
-    of its maximum are masked.
+    of its maximum are masked.  A window that holds no sideband energy raises
+    EmptyMaskError.
     """
     if window is None:
         window = FtsiWindow()
     carrier = gram.grid.omegas[gram.grid.n_samples // 2]
     cross = to_frequency(_sideband(gram, window, carrier), gram.grid, carrier)
     weight = np.abs(cross.amplitude)
-    masked = weight < WEIGHT_MASK_FRACTION * weight.max() if weight.max() > 0 \
-        else np.ones(gram.grid.n_samples, dtype=bool)
+    if not weight.max() > 0:
+        raise EmptyMaskError("the window holds no sideband energy: every sample would be masked")
+    masked = weight < WEIGHT_MASK_FRACTION * weight.max()
     phase = np.where(masked, 0.0, np.angle(cross.amplitude))
     return RetrievedPhase(gram.grid, phase, weight, masked)
 

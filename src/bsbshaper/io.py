@@ -6,9 +6,10 @@ made by one vectorised kernel, a block of rows at a time.  A float cell holds th
 shortest decimal digits that read back as the float, the nearest such and ties to
 even (Schubfach: Giulietti, "The Schubfach way to render doubles", 2020), laid out as
 `repr(float)` lays them out, so its bytes are repr's and it reads back exactly.
-Integer and boolean cells are the ints.  A grid's `GridCells` (`grid_cells`), passed in
-place of a column, stands for its frequency column; they hold that column's cells and
-the grid's `# grid=` line, made once per grid value and process.
+Only float and boolean columns are written, a boolean cell as 0 or 1.  A metadata
+value is written as `repr` writes its Python value.  A grid's `GridCells`
+(`grid_cells`), passed in place of a column, stands for its frequency column; they hold
+that column's cells and the grid's `# grid=` line, made once per grid value and process.
 `pulsefield.write_grid_table` and `read_grid_table` place and read that line and column.
 
 Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
@@ -44,9 +45,9 @@ _SPECIAL = np.frombuffer(b"".join(s.ljust(_WIDTH, b"\0") for s in (b"nan", b"inf
 
 
 def meta_line(key: str, *values) -> str:
-    """`# key=v1 v2 ...`, each value formatted as a table cell is."""
-    cells = (_cells(np.array([v])).tobytes().strip(b"\0").decode("ascii") for v in values)
-    return f"# {key}={' '.join(cells)}\n"
+    """`# key=v1 v2 ...`, each value as `repr` writes its Python value: a float as a float
+    cell is written, an int in its digits."""
+    return f"# {key}={' '.join(repr(np.asarray(v).item()) for v in values)}\n"
 
 
 class _Tables(NamedTuple):
@@ -55,7 +56,6 @@ class _Tables(NamedTuple):
     pow10: np.ndarray  # 10^0 .. 10^19
     quads: np.ndarray  # the 4 digits of 0..9999 as byte values, most significant first
     below: np.ndarray  # below[i, b]: the bytes below byte b of a cell's 3 words, in word i
-    one: np.ndarray  # one[i, b]: 1 in byte b of a cell's 3 words, in word i
     text: np.ndarray  # text[i, 25 p + e]: "0" in the bytes below e but "." in byte p, in word i
     suffix: np.ndarray  # suffix[dp + 323]: "e", the sign and the exponent's digits of a cell whose
     #                     point goes after dp digits, for dp = -323..309; 0 where it is positional
@@ -82,7 +82,7 @@ def _tables() -> _Tables:
               for dp in range(-323, 310)]
     tables = _Tables(np.array([x >> 64 for x in g], _U), np.array([x % 2**64 for x in g], _U),
                      np.array([10**i for i in range(20)], _U), quads,
-                     below, one, text.reshape(3, -1), np.array(suffix, _U))
+                     below, text.reshape(3, -1), np.array(suffix, _U))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -247,27 +247,6 @@ def _float_cells(x) -> np.ndarray:
     return chars
 
 
-def _int_cells(values) -> np.ndarray:
-    """The cells of int64 or uint64 values, right-aligned in rows like _float_cells'."""
-    t = _tables()
-    negative = values < 0
-    magnitude = values.astype(_U)  # two's complement for a negative value
-    magnitude = np.where(negative, -magnitude, magnitude)
-    start = _WIDTH - _digit_count(magnitude) - negative  # the cell's first byte
-    minus = (3 * negative).astype(_U)  # "-" is "0" less 3
-    cells = np.empty((len(values), 3), _CELL_WORD)
-    for i, w in enumerate(_digit_words(magnitude)):
-        cells[:, i] = (w + _ASCII0 - t.one[i][start] * minus) & ~t.below[i][start]
-    return cells.view(np.uint8)
-
-
-def _cells(values) -> np.ndarray:
-    """The cells of a float, integer or boolean array, one row of _WIDTH bytes each."""
-    if values.dtype.kind == "f":
-        return _float_cells(np.ascontiguousarray(values, np.float64))
-    return _int_cells(values.astype(np.int64 if values.dtype.kind == "i" else _U, copy=False))
-
-
 class GridCells(NamedTuple):
     """What a grid writes into a table, made once per grid value and process."""
 
@@ -284,10 +263,10 @@ def _frequency_cells(grid_type, *fields) -> GridCells:
     Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept, and
     by their types, for an int field writes other digits than a float one.
     """
-    w = grid_type(*fields).omegas
+    w = np.asarray(grid_type(*fields).omegas, np.float64)
     blocks = []
     for i in range(0, len(w), BLOCK_ROWS):
-        cells = _cells(w[i:i + BLOCK_ROWS])
+        cells = _float_cells(w[i:i + BLOCK_ROWS])
         cells = cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1].copy()
         cells.setflags(write=False)
         blocks.append(cells)
@@ -303,8 +282,8 @@ def grid_cells(grid) -> GridCells:
 def _checked_columns(names, columns) -> tuple[list, int]:
     """(columns, rows): each array column as an array, and each GridCells.
 
-    A name too many or too few, a column of other than float, integer or boolean values, or
-    columns of different lengths raise, so that no row is dropped nor a cell written that
+    A name too many or too few, a column of other than float or boolean values, or columns
+    of different lengths raise, so that no row is dropped nor a cell written that
     reads back as something else.
     """
     if len(names) != len(columns):
@@ -316,9 +295,9 @@ def _checked_columns(names, columns) -> tuple[list, int]:
             lengths.append(column.rows)
             continue
         column = np.asarray(column)
-        if column.dtype.kind not in "fiub":
+        if column.dtype.kind not in "fb":
             raise TypeError(f"column {name}: {column.dtype} values cannot be written, "
-                            "only float, integer or boolean ones")
+                            "only float or boolean ones")
         if column.ndim != 1:
             raise ValueError(f"column {name}: shape {column.shape} is not one column")
         checked.append(column)
@@ -340,7 +319,7 @@ def _rows(columns, start, stop) -> str:
     slab = np.zeros((rows, len(columns), _WIDTH + 1), np.uint8)  # NULs are dropped at the end
     slab[:, :, _WIDTH] = ord(",")
     slab[:, -1, _WIDTH] = ord("\n")
-    groups = {}  # array columns by a kind that concatenates exactly: float, signed, unsigned, bool
+    groups = {}  # array columns by a kind that concatenates exactly: float or bool
     for j, column in enumerate(columns):
         if isinstance(column, GridCells):
             cells = column.blocks[start // BLOCK_ROWS]
@@ -349,12 +328,11 @@ def _rows(columns, start, stop) -> str:
             groups.setdefault(column.dtype.kind, []).append(j)
     for kind, group in groups.items():  # one call per kind formats the block's columns
         values = np.concatenate([columns[j][start:stop] for j in group])
-        if kind == "b":  # a byte lookup, not the kernel, into the last byte as an int cell has it
-            slab[:, group, _WIDTH - 1] = \
-                _BOOL_CELLS[values.astype(np.uint8)].reshape(len(group), rows).T
+        if kind == "b":  # a byte lookup, not the kernel
+            slab[:, group, 0] = _BOOL_CELLS[values.astype(np.uint8)].reshape(len(group), rows).T
         else:
-            slab[:, group, :_WIDTH] = \
-                _cells(values).reshape(len(group), rows, _WIDTH).swapaxes(0, 1)
+            slab[:, group, :_WIDTH] = _float_cells(np.ascontiguousarray(values, np.float64)) \
+                .reshape(len(group), rows, _WIDTH).swapaxes(0, 1)
     return slab[slab != 0].tobytes().decode("ascii")
 
 
@@ -362,7 +340,7 @@ def write_table(path, header_lines, names, columns):
     """Write `header_lines`, the column `names`, then one row per sample; a stream stays open.
 
     Raises ValueError when the columns differ in length, or a name is missing or extra, and
-    TypeError for a column of other than float, integer or boolean values, before writing.
+    TypeError for a column of other than float or boolean values, before writing.
     """
     columns, rows = _checked_columns(names, columns)
     opened = open(path, "w") if isinstance(path, (str, os.PathLike)) \
@@ -406,11 +384,7 @@ def meta_values(text: str, types) -> list:
 
 
 def _is_number(cell: str) -> bool:
-    try:
-        _number(cell.encode())
-    except ValueError:
-        return False
-    return True
+    return _NUMBER.fullmatch(cell.encode().strip()) is not None
 
 
 class _ReadTables(NamedTuple):

@@ -121,10 +121,6 @@ class SpectralField:
         if not self.grid.contains(self.omega0):
             raise ValueError(f"carrier {self.omega0:.4g} rad/s outside grid")
 
-    def energy(self) -> float:
-        """integral |E(omega)|^2 domega on the grid."""
-        return self.power_sum * self.grid.omega_step
-
     @cached_property
     def magnitude(self) -> np.ndarray:
         """|E(omega)|, computed once per field instance and read-only."""
@@ -153,17 +149,15 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class TimeTrace:
-    n_samples: int
+    """A complex trace sampled at t_start + t_step k, one sample per amplitude value."""
+
     t_start: float  # s
     t_step: float  # s
     amplitude: np.ndarray  # complex
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + self.t_step * np.arange(self.n_samples)
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.t_step)
+        return self.t_start + self.t_step * np.arange(len(self.amplitude))
 
 
 def edge_leak_fraction(amplitude: np.ndarray) -> float:
@@ -267,7 +261,7 @@ def to_time(field: SpectralField) -> TimeTrace:
     spec = np.fft.fft(_times_chirp(field.amplitude, chirps.time_pre))
     # chirp first at every size, as in (omega_step / 2pi exp(z)) * spec, whose left operand
     # is the temporary
-    return TimeTrace(grid.n_samples, t_start, dt, chirps.time_post * spec)
+    return TimeTrace(t_start, dt, chirps.time_post * spec)
 
 
 def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> SpectralField:

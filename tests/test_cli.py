@@ -90,7 +90,9 @@ def test_transfer_writes_csv(tmp_path):
 def test_pulse_synth_derive_replica(tmp_path):
     src = tmp_path / "pulse.csv"
     assert main(["pulse", "synth", "--output", str(src)]) == 0
-    assert read_field_csv(src).energy() == pytest.approx(1.0, rel=1e-9)
+    field = read_field_csv(src)
+    assert np.sum(np.abs(field.amplitude) ** 2) * field.grid.omega_step == \
+        pytest.approx(1.0, rel=1e-9)
 
     der = tmp_path / "derived.csv"
     assert main(["pulse", "derive", "--input", str(src), "--output", str(der),
@@ -581,6 +583,18 @@ def test_overlap_rejects_a_source_with_several_peaks(tmp_path, capsys):
     assert main(["overlap", "--mode", "field", "--shaped", str(src),
                  "--source", str(src)]) == 1
     assert "several peaks" in capsys.readouterr().err
+
+
+def test_ftsi_retrieve_of_a_dark_interferogram_exits_2_before_writing(tmp_path, files, capsys):
+    """No fringes, so no sideband energy: nothing to retrieve, not an all-masked phase."""
+    gram = ftsi.read_interferogram_csv(files["gram"])
+    dark = tmp_path / "dark.csv"
+    ftsi.write_interferogram_csv(ftsi.Interferogram(gram.grid, 0 * gram.intensity, 1e-12), dark)
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["ftsi", "retrieve", "--input", str(dark), "--output", str(tmp_path / "p.csv")]) == 2
+    assert "no sideband energy" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
 
 
 @pytest.mark.parametrize("delay", ["nan", "inf", "0.0"])

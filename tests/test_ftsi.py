@@ -223,6 +223,19 @@ def test_window_width_must_be_finite_and_positive(width):
         FtsiWindow(width=width)
 
 
+@pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+def test_window_center_must_be_finite(center):
+    with pytest.raises(ValueError, match="window center must be finite"):
+        FtsiWindow(center_time=center)
+
+
+def test_window_without_sideband_energy_raises(pulse100):
+    """A window 50 ps out, past the grid's 9.1 ps time span, is 0 on every sample."""
+    gram = synthesize_interferogram(pulse100, pulse100, TAU)
+    with pytest.raises(EmptyMaskError, match="no sideband energy"):
+        retrieve_phase(gram, FtsiWindow(center_time=50e-12))
+
+
 def test_retrieve_phase_working_set_is_bounded():
     """At its peak the retrieval holds at most 7 complex arrays of n_samples beyond its input.
 

@@ -61,6 +61,43 @@ def test_figure_data_lines_pinned(tmp_path):
     assert written == FIGURE_DATA_SHA256
 
 
+# sha256 of the comment lines of every default-config figure output (n = 4096), the run's
+# outdir in the config.outdir line written as <outdir>; the data digests above skip them
+FIGURE_COMMENT_SHA256 = {
+    "fig2_spectra.csv": "b4bf0d878a3c180b1d7e8920ac0f61a05bd52af8bf14df8a877521b764787232",
+    "fig2_ratio.csv": "b4bf0d878a3c180b1d7e8920ac0f61a05bd52af8bf14df8a877521b764787232",
+    "fig3_interferogram_with_bsb.csv":
+        "0bda9f02149cceb495dd2d93d2205502ec62fe571777a4386a0709f065e078f3",
+    "fig3_interferogram_without_bsb.csv":
+        "0bda9f02149cceb495dd2d93d2205502ec62fe571777a4386a0709f065e078f3",
+    "fig3_retrieved_phase.csv": "b4bf0d878a3c180b1d7e8920ac0f61a05bd52af8bf14df8a877521b764787232",
+    "fig4_spectra.csv": "93df479362c11aee763bcb20f7feeffdeb273a37719ba93b58dfd71c56d101e7",
+    "fig4_ratio.csv": "93df479362c11aee763bcb20f7feeffdeb273a37719ba93b58dfd71c56d101e7",
+    "fig5_interferogram_with_bsb.csv":
+        "770fd003187a63e0cf05949e352eb05fc59c763599438dd4a04279336df51703",
+    "fig5_interferogram_without_bsb.csv":
+        "770fd003187a63e0cf05949e352eb05fc59c763599438dd4a04279336df51703",
+    "fig5_retrieved_phase.csv": "93df479362c11aee763bcb20f7feeffdeb273a37719ba93b58dfd71c56d101e7",
+    "fig5_jump_report.txt": "a604139840c0aa611179d14c330954ca94c046d5be7407984327af48144ab250",
+}
+
+
+def test_figure_comment_lines_pinned(tmp_path):
+    config = RunConfig(outdir=str(tmp_path))
+    written, metadata = {}, set()
+    for fig in figures.FIGURES:
+        for path in figures.run_figure_pipeline(config, fig):
+            with open(path) as fh:
+                comments = "".join(line for line in fh if line.startswith("#"))
+            comments = comments.replace(repr(str(tmp_path)), "<outdir>")
+            written[os.path.basename(path)] = hashlib.sha256(comments.encode()).hexdigest()
+            metadata.update(line for line in comments.splitlines(keepends=True)
+                            if line.startswith(("# grid=", "# delay_hint=")))
+    assert written == FIGURE_COMMENT_SHA256
+    assert metadata == {"# grid=4096 942477796076937.9 690291354548.5386\n",
+                        "# delay_hint=1e-12\n"}  # the two meta_line lines, in plain digits
+
+
 # the benchmark's record of every figure output at n = 2^16, where numpy elides temporaries,
 # which it never does at 4096: there the operand order of each product shows in the bytes
 BENCHMARK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -81,17 +118,15 @@ def test_table_roundtrip_is_exact(tmp_path):
     path = tmp_path / "table.csv"
     x = np.array([0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-17])
     flags = np.array([True, False, False, True, True, False])
-    counts = np.arange(6, dtype=np.int32)
     header = [meta_line("omega0", np.float64(2.35e15)), meta_line("grid", 6, 0.5, 0.25),
               "# provenance: free text\n"]
-    write_table(path, header, ["x", "flag", "count"], [x, flags, counts])
-    assert path.read_text().splitlines()[3:5] == ["x,flag,count", "0.1,1,0"]
+    write_table(path, header, ["x", "flag"], [x, flags])
+    assert path.read_text().splitlines()[3:5] == ["x,flag", "0.1,1"]
     meta, data = read_table(path, ("omega0", "grid"))
     assert meta == {"omega0": "2350000000000000.0", "grid": "6 0.5 0.25"}
     assert np.array_equal(data["x"], x)
     assert np.signbit(data["x"][2])
     assert np.array_equal(data["flag"].astype(bool), flags)
-    assert np.array_equal(data["count"], counts)
 
 
 def test_table_missing_metadata(tmp_path):
@@ -415,16 +450,42 @@ def test_boundary_decimals_are_read_as_float_reads_them(tmp_path, family):
     assert _first_misread(tmp_path, _DECIMAL_BOUNDARIES[family]) is None
 
 
-def test_integer_and_boolean_cells_are_their_ints():
-    columns = [np.array([-2**63, -2**63 + 1, -1, 0, 2**63 - 1], np.int64),
-               np.array([0, 1, 10**19 - 1, 10**19, 2**64 - 1], np.uint64),
-               np.array([0, 9, 10, 99, 255], np.uint8),
-               np.array([-128, -10, 0, 10, 127], np.int8),
-               np.array([True, False, True, False, False]),
+_META_FLOATS = {  # the writer's boundary families, each value with its negative
+    "nan": [np.nan],
+    "inf": [np.inf],
+    "zero": [0.0],
+    "subnormals": [5e-324, 1e-320, 2.225073858507201e-308],
+    "1e16": _ulp_neighbours(np.array([1e16])).tolist(),
+    "1e-5": _ulp_neighbours(np.array([1e-5])).tolist(),
+}
+
+
+@pytest.mark.parametrize("family", _META_FLOATS)
+def test_float_meta_values_are_repr(family):
+    for x in (*_META_FLOATS[family], *(-x for x in _META_FLOATS[family])):
+        cell = _written(["x"], [np.array([x])]).split()[1]
+        assert meta_line("k", x) == meta_line("k", np.float64(x)) == f"# k={x!r}\n" \
+            == f"# k={cell}\n"
+
+
+def test_integer_meta_values_are_repr():
+    for n in (0, 1, -1, 4096, 10**16, 2**63 - 1, -2**63):
+        assert meta_line("k", n) == meta_line("k", np.int64(n)) == f"# k={n!r}\n"
+    assert meta_line("grid", np.int64(4096), 0.5, np.float64(-0.0)) == "# grid=4096 0.5 -0.0\n"
+
+
+def test_integer_and_boolean_cells_are_their_ints(tmp_path):
+    """Boolean cells are 0 and 1; an integer column is rejected, as no table holds one."""
+    columns = [np.array([True, False, True, False, False]),
                np.array([0.5, -2.0, 1e300, 3.0, 7e-7])]
-    assert _first_mismatch(list("abcdef"), columns) is None
-    assert _written(["a"], columns[:1]).split()[1:] == [
-        "-9223372036854775808", "-9223372036854775807", "-1", "0", "9223372036854775807"]
+    assert _first_mismatch(["a", "b"], columns) is None
+    assert _written(["a"], columns[:1]).split()[1:] == ["1", "0", "1", "0", "0"]
+    path = tmp_path / "table.csv"
+    for column in (np.array([-2**63, -1, 0, 2**63 - 1], np.int64),
+                   np.array([0, 10**19, 2**64 - 1, 1], np.uint64)):
+        with pytest.raises(TypeError, match=f"^column z: {column.dtype} values cannot be written"):
+            write_table(path, [], ["a", "z"], [np.arange(4.0), column])
+        assert not path.exists()
 
 
 def test_tables_without_rows_or_columns():

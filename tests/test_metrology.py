@@ -216,8 +216,10 @@ def _complex_route(segments, pulse, mode):
     """The score as complex fields: the shaped and objective modes, their overlap and energy ratio."""
     shaped = apply_transfer(pulse, shaper.shaped_channel(segments, pulse.grid, mode))
     objective = apply_transfer(pulse, shaper.objective(pulse.grid, mode, 1e-15, pulse.omega0))
-    return (mode_overlap(shaped, objective, band_from_field(pulse)),
-            shaped.energy() / pulse.energy())
+    step = pulse.grid.omega_step
+    shaped_energy = np.sum(np.abs(shaped.amplitude) ** 2) * step
+    source_energy = np.sum(np.abs(pulse.amplitude) ** 2) * step
+    return mode_overlap(shaped, objective, band_from_field(pulse)), shaped_energy / source_energy
 
 
 @pytest.mark.parametrize("mode", shaper.MODES)
