@@ -127,9 +127,9 @@ def _sideband(gram: Interferogram, window: FtsiWindow, carrier: float) -> TimeTr
     baseband = np.abs(t) <= tau / 4
     e_base = power[baseband].sum()
     e_side = power[~baseband].sum()
-    if e_side > 0 and e_base > BASEBAND_LEAK_LIMIT * e_side:
+    if not e_base <= BASEBAND_LEAK_LIMIT * e_side:  # also where e_side is 0: baseband only
         raise SidebandOverlapError(
-            f"window leaks {e_base / e_side:.1%} of the sideband energy from the baseband; "
+            f"window leaks baseband energy, {e_base / (e_base + e_side):.1%} of what it holds; "
             "narrow the window or increase the delay"
         )
     return TimeTrace(trace.t_start, trace.t_step, filtered)

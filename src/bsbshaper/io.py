@@ -17,6 +17,9 @@ decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity
 case and with an optional sign, with nothing but ASCII whitespace around it, and its
 value is float()'s.  The kernel rounds a decimal of up to 19 significant digits to the
 nearest float64 by Eisel-Lemire; the cells it cannot prove go to float() one at a time.
+A chunk whose rows are not whole, or with a cell that is not a number, takes the one slow
+path: it is read again one line at a time, `#` lines and blank lines are skipped, and the
+first bad line is named by its number in the file, which is opened once.
 """
 
 from __future__ import annotations
@@ -354,14 +357,13 @@ def write_table(path, header_lines, names, columns):
 
 _NUMBER = re.compile(rb"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
                      rb"|(?i:nan|inf|infinity))")
-_BLANK = " \t\n\r\v\f"  # ASCII whitespace, the only padding a cell may have
 
 
 def _number(cell: bytes) -> float:
     """The value of one cell, float()'s: ValueError unless, once its ASCII whitespace is
     stripped, it is a decimal [+-](d+[.d*]|.d+)[(e|E)[+-]d+] or a nan, inf or infinity in any case
     and with an optional sign (so no "_" and no non-ASCII digit or space, which float() takes)."""
-    if not _NUMBER.fullmatch(cell.strip()):  # bytes.strip() strips _BLANK
+    if not _NUMBER.fullmatch(cell.strip()):  # bytes.strip() strips ASCII whitespace only
         raise ValueError(f"{cell!r} is not a number")
     return float(cell)
 
@@ -570,88 +572,79 @@ def _parse_cells(buf: bytes, n: int):
     return bits.view(np.float64), np.flatnonzero(~ok), starts, ends, newline
 
 
-def _data_lines(buf: bytes, n: int) -> bytes | None:
-    """buf without its comment and blank lines, or None when it has none."""
-    b = np.frombuffer(buf, np.uint8, n - len(_HEAD), len(_HEAD))
-    ends = np.flatnonzero(b == _NEWLINE)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    space = (b == 32) | ((b >= 9) & (b <= 13))
-    drop = ~np.logical_or.reduceat(~space, starts) | (b.take(starts) == ord("#"))
-    if not drop.any():
-        return None
-    return b"".join((_HEAD, b[np.repeat(~drop, ends - starts + 1)].tobytes(), _END))
+def _parse_lines(rows: bytes, width: int, line: int, encoding: str) -> np.ndarray:
+    """The cells of a chunk of rows whose first line is line `line`, one line at a time:
+    `#` lines and blank lines are skipped, and ValueError names the first line of other
+    than `width` cells or with a cell that is not a number."""
+    values = []
+    for n, text in enumerate(rows[len(_HEAD):-len(_END)].split(b"\n"), line):
+        if text.startswith(b"#") or not text.strip():
+            continue
+        cells = text.split(b",")
+        if len(cells) != width:
+            raise ValueError(f"line {n}: {len(cells)} cells, "
+                             f"where the column-name line names {width}")
+        try:
+            values += map(_number, cells)
+        except ValueError:
+            text = text.strip().decode(encoding, "replace")
+            raise ValueError(f"line {n}: {text!r} holds a cell that is not a number") from None
+    return np.array(values, np.float64)
 
 
-def _parse_rows(buf: bytes, width: int) -> np.ndarray:
-    """The cells of a buffer of rows, row by row; ValueError for a row of other than `width`
-    cells or a cell that is not a number."""
-    values, redo, starts, ends, newline = _parse_cells(buf, len(buf) - len(_END))
-    rows_ok = not newline.size % width and newline[width - 1::width].all() \
-        and np.count_nonzero(newline) == newline.size // width
-    if redo.size or not rows_ok:
-        lines = _data_lines(buf, len(buf) - len(_END))
-        if lines is not None:
-            return _parse_rows(lines, width)
-        if not rows_ok:
-            raise ValueError("a row of other than the named cells")
-        values[redo] = [_number(buf[s:e]) for s, e in zip(starts[redo], ends[redo])]
-    return values
+def _parse_rows(rows: bytes, width: int, line: int, encoding: str) -> np.ndarray:
+    """The cells of a chunk of rows whose first line is line `line`, row by row: by the kernel,
+    with float() for each cell it cannot prove, and by _parse_lines where its rows are not whole
+    or a cell is not a number."""
+    values, redo, starts, ends, newline = _parse_cells(rows, len(rows) - len(_END))
+    if not newline.size % width and newline[width - 1::width].all() \
+            and np.count_nonzero(newline) == newline.size // width:
+        with contextlib.suppress(ValueError):
+            values[redo] = [_number(rows[s:e]) for s, e in zip(starts[redo], ends[redo])]
+            return values
+    return _parse_lines(rows, width, line, encoding)
 
 
 def _blocks(fh):
-    """The rest of `fh`, about CHUNK_BYTES at a time, with universal newlines (a \\r\\n that
-    two blocks split leaves a blank line, which the reader skips)."""
+    """The rest of `fh`, about CHUNK_BYTES at a time, with universal newlines: a block that
+    ends in \\r takes the \\n after it."""
     while block := fh.read(CHUNK_BYTES):
+        if block.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+            block += fh.read(1)
         yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
 
 
 def _head(blocks, encoding: str):
-    """(metadata, names, rest): the `# key=value` strings and the column names of a table's
-    first lines, and the blocks that follow the column-name line."""
-    metadata, text, start = {}, b"", 0
+    """(metadata, names, n, rest): the `# key=value` strings and the column names of a table's
+    first lines, the number n of its first row line, and the blocks after the column-name line."""
+    metadata, text, start, n = {}, b"", 0, 1
     for block in chain(blocks, [b"\n"]):  # the newline ends a last line that has none
         text, start = text[start:] + block, 0
         while (end := text.find(b"\n", start)) >= 0:
-            line, start = text[start:end].decode(encoding), end + 1
+            line, start, n = text[start:end].decode(encoding), end + 1, n + 1
             if line.startswith("#"):
                 key, sep, value = line[1:].strip().partition("=")
                 if sep:
                     metadata[key] = value
             elif line.strip():
-                return metadata, line.strip().split(","), chain([text[start:]], blocks)
-    return metadata, [], iter(())
+                return metadata, line.strip().split(","), n, chain([text[start:]], blocks)
+    return metadata, [], n, iter(())
 
 
-def _row_chunks(blocks):
-    """The blocks in buffers of whole lines between _HEAD and _END."""
+def _row_chunks(blocks, line: int):
+    """(buffer, line): the blocks in buffers of whole lines between _HEAD and _END, and the
+    number of each buffer's first line, the first being line `line`."""
     rest = b""
     for block in blocks:
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield b"".join((_HEAD, rest, memoryview(block)[:cut], _END))
+            yield b"".join((_HEAD, rest, memoryview(block)[:cut], _END)), line
+            line += block.count(b"\n", 0, cut)
             rest = block[cut:]
         else:
             rest += block
     if rest:
-        yield b"".join((_HEAD, rest, b"\n", _END))
-
-
-def _first_bad_row(path, width: int) -> str | None:
-    """Where and why the first data row of a table `width` columns wide is malformed.
-
-    Reads the file again, so the fast path of read_table counts no lines.
-    """
-    with open(path, errors="replace") as fh:
-        lines = ((n, line) for n, line in enumerate(fh, 1)
-                 if not line.startswith("#") and line.strip(_BLANK))
-        next(lines)  # the column-name line
-        for n, line in lines:
-            cells = line.split(",")
-            if len(cells) != width:
-                return f"line {n}: {len(cells)} cells, where the column-name line names {width}"
-            if not all(map(_is_number, cells)):
-                return f"line {n}: {line.strip(_BLANK)!r} holds a cell that is not a number"
-    return None
+        yield b"".join((_HEAD, rest, b"\n", _END)), line
 
 
 def read_table(path, required_keys=(),
@@ -661,10 +654,11 @@ def read_table(path, required_keys=(),
     Raises ValueError when the column-name line is missing (no line, or a first
     non-comment line of numbers) or names a column twice, a required metadata key
     or column is missing or a row is malformed: it has other than one cell per name,
-    or a cell that is not a number by the rule of `_number`.
+    or a cell that is not a number by the rule of `_number`; the message names its line.
     """
     with open(path, "rb") as fh:
-        metadata, names, blocks = _head(_blocks(fh), locale.getpreferredencoding(False))
+        encoding = locale.getpreferredencoding(False)
+        metadata, names, line, blocks = _head(_blocks(fh), encoding)
         if not names or any(map(_is_number, names)):
             raise ValueError(f"{path}: no column-name line before the data rows")
         if twice := [name for i, name in enumerate(names) if name in names[:i]]:
@@ -677,9 +671,9 @@ def read_table(path, required_keys=(),
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         width = len(names)
         try:
-            chunks = [_parse_rows(rows, width) for rows in _row_chunks(blocks)]
+            chunks = [_parse_rows(rows, width, first, encoding)
+                      for rows, first in _row_chunks(blocks, line)]
         except ValueError as exc:
-            where = _first_bad_row(path, width) or exc
-            raise ValueError(f"{path}: malformed row ({where})") from None
+            raise ValueError(f"{path}: malformed row ({exc})") from None
     return metadata, {name: np.concatenate([c[j::width] for c in chunks]) if chunks else np.empty(0)
                       for j, name in enumerate(names)}

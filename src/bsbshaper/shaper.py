@@ -98,20 +98,12 @@ def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:
     return psi_half
 
 
-def _axis_response(psi_half: np.ndarray, axis: str) -> tuple[np.ndarray, complex]:
-    """(s, u) of the axis response u s: h_x = cos(psi/2) on "x", h_y = i sin(psi/2) on "y"."""
-    return (np.cos(psi_half), 1 + 0j) if axis == "x" else (np.sin(psi_half), 1j)
-
-
-def _mode_axes(mode: str) -> tuple[str, str]:
-    """(signal, shaped) axes of a mode.
-
-    field / envelope-integer: signal on x, shaped on y.  envelope-half: the
-    axes are exchanged.
-    """
+def _exchanged(mode: str) -> bool:
+    """Whether a mode exchanges the axes: field / envelope-integer take the signal on x and
+    the shaped channel on y, envelope-half the reverse."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return ("y", "x") if mode == "envelope-half" else ("x", "y")
+    return mode == "envelope-half"
 
 
 def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
@@ -120,8 +112,7 @@ def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
     phi = np.zeros(grid.n_samples)
     for material, thickness in segments:
         phi += _wavevectors(material, grid)[1] * abs(thickness) / 2
-    (c, u_x), (s, u_y) = (_axis_response(psi_half, axis) for axis in "xy")
-    return TransferPair(grid, u_x * c, u_y * s, phi)
+    return TransferPair(grid, (1 + 0j) * np.cos(psi_half), 1j * np.sin(psi_half), phi)
 
 
 def transfer_exact(comp: Compensator, grid: SpectralGrid) -> TransferPair:
@@ -134,13 +125,13 @@ def shaped_channel(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
 
     Computes only that channel: no common phase and no signal channel.
     """
-    s, u = _axis_response(_half_retardance(segments, grid), _mode_axes(mode)[1])
-    return u * s
+    return (1 + 0j if _exchanged(mode) else 1j) * shaped_factor(segments, grid, mode)
 
 
 def shaped_factor(segments, grid: SpectralGrid, mode: str) -> np.ndarray:
-    """Real s of the mode's shaped channel, which is s on the "x" axis and i s on "y"."""
-    return _axis_response(_half_retardance(segments, grid), _mode_axes(mode)[1])[0]
+    """Real s of the mode's shaped channel: cos(psi/2) on the "x" axis, where the channel is s,
+    and sin(psi/2) on "y", where it is i s."""
+    return (np.cos if _exchanged(mode) else np.sin)(_half_retardance(segments, grid))
 
 
 def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +140,7 @@ def channels(pair: TransferPair, mode: str) -> tuple[np.ndarray, np.ndarray]:
     The analyser on the -y axis contributes a minus sign wherever the two
     channels are compared.
     """
-    return tuple(getattr(pair, "h_" + axis) for axis in _mode_axes(mode))
+    return (pair.h_y, pair.h_x) if _exchanged(mode) else (pair.h_x, pair.h_y)
 
 
 def effective_response(pair: TransferPair, mode: str) -> TransferFunction:
@@ -179,7 +170,7 @@ def objective_r2(grid: SpectralGrid, t2: float, omega0: float) -> TransferFuncti
 
 def objective_weight(omegas: np.ndarray, mode: str, omega0: float) -> np.ndarray:
     """w' of the mode's objective -i w' T: omega for field, omega - omega0 otherwise."""
-    _mode_axes(mode)  # rejects an unknown mode
+    _exchanged(mode)  # rejects an unknown mode
     return omegas if mode == "field" else omegas - omega0
 
 
@@ -208,6 +199,6 @@ def linear_response(grid: SpectralGrid, mode: str, omega0: float, slope: float,
     linearized birefringence; envelope modes: the same slope anchored at omega0
     instead.
     """
-    _mode_axes(mode)  # rejects an unknown mode
+    _exchanged(mode)  # rejects an unknown mode
     w_zero = omega1 if mode == "field" else omega0
     return TransferFunction(grid, -1j * (grid.omegas - w_zero) * slope)

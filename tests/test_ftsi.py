@@ -76,6 +76,13 @@ def test_overwide_window_leaking_baseband_rejected(pulse100):
         retrieve_phase(gram, wide)
 
 
+def test_window_of_baseband_energy_only_rejected(pulse100):
+    """A 50 fs window at t = 0 is exactly 0 past the baseband, where the sideband is."""
+    gram = synthesize_interferogram(pulse100, pulse100, TAU)
+    with pytest.raises(SidebandOverlapError, match="100.0% of what it holds"):
+        retrieve_phase(gram, FtsiWindow(center_time=0.0, width=50e-15))
+
+
 def test_negative_intensity_rejected(grid):
     with pytest.raises(ValueError):
         Interferogram(grid, -np.ones(grid.n_samples), TAU)

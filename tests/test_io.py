@@ -1,5 +1,6 @@
 """The CSV table layer: exact round trips and byte-level pins of the figure outputs."""
 
+import builtins
 import dataclasses
 import hashlib
 import json
@@ -161,6 +162,44 @@ def test_malformed_row_names_its_line(tmp_path, body, where):
     with pytest.raises(ValueError) as err:
         read_table(path)
     assert str(err.value) == f"{path}: malformed row ({where})"
+
+
+@pytest.mark.parametrize("newline,split", [("\n", None), ("\r\n", None), ("\r", None),
+                                           ("\r\n", "\r\n"), ("\r\n", "\r\r\n")],
+                         ids=["lf", "crlf", "cr", "crlf-across-the-block-end",
+                              "cr-then-crlf-across-the-block-end"])
+def test_malformed_row_past_the_first_block_names_its_line(tmp_path, newline, split):
+    """A # line and a blank line among the rows, then a bad row in the second block."""
+    chunk, row = table_io.CHUNK_BYTES, "1.5,2.25"
+    body = newline.join(["# grid=4 1.0 1.0", "a,b", row, "# a comment", "", ""])
+    body += (row + newline) * ((chunk - len(body)) // len(row + newline) - 1)
+    if split:  # one row padded so that the block's last byte is the first of `split`
+        body += row + "0" * (chunk - 1 - len(body) - len(row)) + split
+        assert body[chunk - 1:chunk - 1 + len(split)] == split
+    else:
+        body += (row + newline) * 2
+    assert len(body) >= chunk
+    line = len(body.splitlines()) + 1
+    path = tmp_path / "bad.csv"
+    path.write_bytes((body + "1.0,abc" + newline + row + newline).encode())
+    with pytest.raises(ValueError) as err:
+        read_table(path)
+    assert str(err.value) == \
+        f"{path}: malformed row (line {line}: '1.0,abc' holds a cell that is not a number)"
+
+
+def test_read_table_opens_a_malformed_file_once(tmp_path, monkeypatch):
+    path, opened, real_open = tmp_path / "bad.csv", [], builtins.open
+    path.write_text("a,b\n1.0,2.0\n1.0,abc\n")
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with pytest.raises(ValueError, match="line 3: '1.0,abc'"):
+        read_table(path)
+    assert opened == [path]
 
 
 def test_table_without_column_names(tmp_path):
