@@ -7,10 +7,10 @@ shortest decimal digits that read back as the float, the nearest such and ties t
 even (Schubfach: Giulietti, "The Schubfach way to render doubles", 2020), laid out as
 `repr(float)` lays them out, so its bytes are repr's and it reads back exactly.
 Only float and boolean columns are written, a boolean cell as 0 or 1.  A metadata
-value is written as `repr` writes its Python value.  A grid's `GridCells`
-(`grid_cells`), passed in place of a column, stands for its frequency column; they hold
-that column's cells and the grid's `# grid=` line, made once per grid value and process.
-`pulsefield.write_grid_table` and `read_grid_table` place and read that line and column.
+value is written as `repr` writes its Python value, and a key may appear only once.  A
+grid's `GridCells` (`grid_cells`), passed in place of a column, stand for its frequency
+column, made once per grid value and process; `pulsefield.write_grid_table` writes them
+and the grid's `# grid=` line, and `read_grid_table` reads both.
 
 Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
 decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
@@ -19,7 +19,8 @@ value is float()'s.  The kernel rounds a decimal of up to 19 significant digits 
 nearest float64 by Eisel-Lemire; the cells it cannot prove go to float() one at a time.
 A chunk whose rows are not whole, or with a cell that is not a number, takes the one slow
 path: it is read again one line at a time, `#` lines and blank lines are skipped, and the
-first bad line is named by its number in the file, which is opened once.
+first bad line is named by its number in the file, which is opened once.  The two kernels
+share one set of exact power-of-five and byte-mask tables, built on the first write or read.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def meta_line(key: str, *values) -> str:
 
 
 class _Tables(NamedTuple):
+    p5: np.ndarray  # p5[:, q + 342]: 5^q = p5[0] 2^64 + p5[1] in [2^127, 2^128), truncated to
+    #                 128 bits as Eisel-Lemire's table holds it, for q = -342..324
     g_hi: np.ndarray  # g = g_hi 2^64 + g_lo = floor(10^-k 2^-r) + 1 in [2^127, 2^128),
     g_lo: np.ndarray  # for k = -324..292 (Schubfach's 10^-k)
     pow10: np.ndarray  # 10^0 .. 10^19
@@ -62,19 +65,24 @@ class _Tables(NamedTuple):
     text: np.ndarray  # text[i, 25 p + e]: "0" in the bytes below e but "." in byte p, in word i
     suffix: np.ndarray  # suffix[dp + 323]: "e", the sign and the exponent's digits of a cell whose
     #                     point goes after dp digits, for dp = -323..309; 0 where it is positional
+    digits: np.ndarray  # digits[j, 5 (24 - m) + e]: the low nibbles of the top m window bytes in
+    #                     words 0..2, and of the top e bytes of the cell's last word in row 3
 
 
 @lru_cache(maxsize=None)
 def _tables() -> _Tables:
-    """The kernel's tables, built exactly from Python ints on the first write."""
-    g = []
-    for k in range(-324, 293):
-        p = 10 ** abs(k)
-        if k <= 0:  # 10^-k = p
-            r = p.bit_length() - 128
-            g.append((p >> r if r >= 0 else p << -r) + 1)
-        else:  # 10^-k = 1 / p
-            g.append((1 << (127 + p.bit_length())) // p + 1)
+    """The tables of both kernels, built exactly from Python ints on the first write or read."""
+    p5 = []
+    for q in range(-342, 325):
+        if q >= 0:  # 5^q with its top bit moved to bit 127, truncated
+            r = (5 ** q).bit_length() - 128
+            p5.append(5 ** q >> r if r >= 0 else 5 ** q << -r)
+        else:  # 1 / 5^-q, one above its floor, then truncated
+            z = (5 ** -q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
+            p5.append(c >> max(c.bit_length() - 128, 0))
+    # 10^-k has 5^-k's top 128 bits, so g is p5 + 1, but for k = 1..27, whose p5 is already g
+    g = [p5[342 - k] + (not 1 <= k <= 27) for k in range(-324, 293)]
     v = np.arange(10000, dtype=np.uint32)
     quads = v // 1000 | v // 100 % 10 << 8 | v // 10 % 10 << 16 | v % 10 << 24  # little-endian
     b = np.clip(np.arange(_WIDTH + 2) - 8 * np.arange(3)[:, None], 0, 8).astype(_U)
@@ -83,9 +91,14 @@ def _tables() -> _Tables:
     text = (_ASCII0 - (one[:, :, None] << _U(1))) & below[:, None, :-1]  # "." is "0" less 2
     suffix = [0 if -3 <= dp <= 16 else int.from_bytes(f"e{dp - 1:+03d}".encode(), "little")
               for dp in range(-323, 310)]
-    tables = _Tables(np.array([x >> 64 for x in g], _U), np.array([x % 2**64 for x in g], _U),
+    digits = np.zeros((4, 125), _U)
+    digits[:3] = np.repeat(~below[:, :25], 5, axis=1)  # bytes from offset 24 - m on
+    digits[3] = np.tile(~below[2, 24:19:-1], 25)  # the top e bytes of a word
+    digits &= _U(0x0F0F0F0F0F0F0F0F)
+    tables = _Tables(np.array([[x >> 64 for x in p5], [x % 2**64 for x in p5]], _U),
+                     np.array([x >> 64 for x in g], _U), np.array([x % 2**64 for x in g], _U),
                      np.array([10**i for i in range(20)], _U), quads,
-                     below, text.reshape(3, -1), np.array(suffix, _U))
+                     below, text.reshape(3, -1), np.array(suffix, _U), digits)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -251,9 +264,8 @@ def _float_cells(x) -> np.ndarray:
 
 
 class GridCells(NamedTuple):
-    """What a grid writes into a table, made once per grid value and process."""
+    """What a grid writes into a table's frequency column, made once per grid value and process."""
 
-    line: str  # its `# grid=` line: the sample count, the first frequency and the step
     rows: int  # its sample count
     blocks: tuple[np.ndarray, ...]  # the cells of its `omegas`, one read-only byte array per
     #                                 block of BLOCK_ROWS rows, as wide as its longest cell
@@ -264,7 +276,7 @@ def _frequency_cells(grid_type, *fields) -> GridCells:
     """The GridCells of the grid `grid_type(*fields)`.
 
     Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept, and
-    by their types, for an int field writes other digits than a float one.
+    by their types, for a grid with int fields computes its `omegas` in int64.
     """
     w = np.asarray(grid_type(*fields).omegas, np.float64)
     blocks = []
@@ -273,12 +285,12 @@ def _frequency_cells(grid_type, *fields) -> GridCells:
         cells = cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1].copy()
         cells.setflags(write=False)
         blocks.append(cells)
-    return GridCells(meta_line("grid", *fields), len(w), tuple(blocks))
+    return GridCells(len(w), tuple(blocks))
 
 
 def grid_cells(grid) -> GridCells:
-    """The `# grid=` line and the frequency cells of a grid (an object with `omegas` whose
-    dataclass fields are its sample count, first frequency and step)."""
+    """The frequency cells of a grid (an object with `omegas` whose dataclass fields are its
+    sample count, first frequency and step)."""
     return _frequency_cells(type(grid), *astuple(grid))
 
 
@@ -389,39 +401,6 @@ def _is_number(cell: str) -> bool:
     return _NUMBER.fullmatch(cell.encode().strip()) is not None
 
 
-class _ReadTables(NamedTuple):
-    p5: np.ndarray  # p5[:, q + 342]: 5^q = p5[0] 2^64 + p5[1] in [2^127, 2^128), truncated to
-    #                 128 bits as Eisel-Lemire's table holds it, for q = -342..308
-    shifted: np.ndarray  # shifted[j, u]: the bytes of window word j at offsets below u
-    digits: np.ndarray  # digits[j, 5 (24 - m) + e]: the low nibbles of the top m window bytes in
-    #                     words 0..2, and of the top e bytes of the cell's last word in row 3
-
-
-@lru_cache(maxsize=None)
-def _read_tables() -> _ReadTables:
-    """The reader's tables, built exactly from Python ints on the first read."""
-    p5 = []
-    for q in range(-342, 309):
-        if q >= 0:  # 5^q with its top bit moved to bit 127, truncated
-            r = (5 ** q).bit_length() - 128
-            p5.append(5 ** q >> r if r >= 0 else 5 ** q << -r)
-        else:  # 1 / 5^-q, one above its floor, then truncated
-            z = (5 ** -q).bit_length()
-            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
-            p5.append(c >> max(c.bit_length() - 128, 0))
-    b = np.clip(np.arange(25) - 8 * np.arange(3)[:, None], 0, 8).astype(_U)
-    below = ~(~_U(0) << (b << _U(3)))  # bytes at offsets below u in word j
-    digits = np.zeros((4, 125), _U)
-    digits[:3] = np.repeat(~below, 5, axis=1)  # bytes from offset 24 - m on
-    digits[3] = np.tile(~below[2, :-6:-1], 25)  # the top e bytes of a word
-    digits &= _U(0x0F0F0F0F0F0F0F0F)
-    tables = _ReadTables(np.array([[x >> 64 for x in p5], [x % 2**64 for x in p5]], _U), below,
-                         digits)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 _ZERO, _COMMA, _NEWLINE, _POINT, _PLUS, _MINUS, _LOWER_E = (np.uint8(ord(c)) for c in "0,\n.+-e")
 _NINE, _NOT_2, _CASE = np.uint8(9), np.uint8(0xFD), np.uint8(0x20)
 _8, _56, _63 = _U(8), _U(56), _U(63)
@@ -450,7 +429,7 @@ def _parse_cells(buf: bytes, n: int):
     2023): the 64x64-bit product of w and 5^q's top word, the product with its low word only
     where the first leaves the result in doubt, and the round-to-even tie check.
     """
-    t = _read_tables()
+    t = _tables()
     b = np.frombuffer(buf, np.uint8)
     ev = np.flatnonzero((b[:n] - _ZERO) > _NINE)  # the events: every byte that is no digit
     kind = b.take(ev)
@@ -503,7 +482,7 @@ def _parse_cells(buf: bytes, n: int):
     moved = x[:3] << _8
     moved[1:] |= x[:2] >> _56
     moved ^= x[:3]
-    moved &= t.shifted.take(up, axis=1, mode="clip")
+    moved &= t.below.take(up, axis=1, mode="clip")
     x[:3] ^= moved
     del moved
     x &= digits
@@ -614,9 +593,10 @@ def _blocks(fh):
         yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
 
 
-def _head(blocks, encoding: str):
+def _head(path, blocks, encoding: str):
     """(metadata, names, n, rest): the `# key=value` strings and the column names of a table's
-    first lines, the number n of its first row line, and the blocks after the column-name line."""
+    first lines, the number n of its first row line, and the blocks after the column-name line.
+    A key that appears twice raises ValueError, which names the file, the line and the key."""
     metadata, text, start, n = {}, b"", 0, 1
     for block in chain(blocks, [b"\n"]):  # the newline ends a last line that has none
         text, start = text[start:] + block, 0
@@ -625,6 +605,8 @@ def _head(blocks, encoding: str):
             if line.startswith("#"):
                 key, sep, value = line[1:].strip().partition("=")
                 if sep:
+                    if key in metadata:
+                        raise ValueError(f"{path}: line {n - 1}: metadata key {key} appears twice")
                     metadata[key] = value
             elif line.strip():
                 return metadata, line.strip().split(","), n, chain([text[start:]], blocks)
@@ -651,14 +633,14 @@ def read_table(path, required_keys=(),
                required_columns=()) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """(metadata, data): the `# key=value` strings and the float columns by name.
 
-    Raises ValueError when the column-name line is missing (no line, or a first
-    non-comment line of numbers) or names a column twice, a required metadata key
-    or column is missing or a row is malformed: it has other than one cell per name,
-    or a cell that is not a number by the rule of `_number`; the message names its line.
+    Raises ValueError when the column-name line is missing (no line, or a first non-comment
+    line of numbers), a column or metadata key appears twice, a required metadata key or
+    column is missing or a row is malformed: it has other than one cell per name, or a cell
+    that is not a number by the rule of `_number`; the message names its line.
     """
     with open(path, "rb") as fh:
         encoding = locale.getpreferredencoding(False)
-        metadata, names, line, blocks = _head(_blocks(fh), encoding)
+        metadata, names, line, blocks = _head(path, _blocks(fh), encoding)
         if not names or any(map(_is_number, names)):
             raise ValueError(f"{path}: no column-name line before the data rows")
         if twice := [name for i, name in enumerate(names) if name in names[:i]]:

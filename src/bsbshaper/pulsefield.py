@@ -68,8 +68,8 @@ class SpectralGrid:
 
 def write_grid_table(path, grid: SpectralGrid, header_lines, names, columns):
     """`header_lines`, the `# grid=` line, then `omega_rad_per_s` and the named columns."""
-    cells = grid_cells(grid)
-    write_table(path, [*header_lines, cells.line], ["omega_rad_per_s", *names], [cells, *columns])
+    write_table(path, [*header_lines, meta_line("grid", *astuple(grid))],
+                ["omega_rad_per_s", *names], [grid_cells(grid), *columns])
 
 
 def read_grid_table(path, keys=(), names=()) -> tuple[SpectralGrid, dict, dict]:

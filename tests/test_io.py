@@ -358,6 +358,18 @@ def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
     assert cells.cache_info().currsize == bound
 
 
+def test_equal_int_and_float_field_grids_each_write_their_own_grid_line(tmp_path):
+    """The grids are equal, but an int field is written without the ".0" of a float one."""
+    path = tmp_path / "table.csv"
+    for grid, line in [(SpectralGrid(4, 1, 1), "# grid=4 1 1"),
+                       (SpectralGrid(4, 1.0, 1.0), "# grid=4 1.0 1.0"),
+                       (SpectralGrid(4, 1, 1), "# grid=4 1 1")]:
+        write_grid_table(path, grid, [], ["x"], [np.arange(4.0)])
+        assert path.read_text().splitlines()[:3] == [line, "omega_rad_per_s,x", "1.0,0.0"]
+        read, _, data = read_grid_table(path, (), ("x",))
+        assert read == grid and np.array_equal(data["x"], np.arange(4.0))
+
+
 def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, records):
     cells, path = table_io._frequency_cells, tmp_path / "phase.csv"
     grid = SpectralGrid(2048, 3.0e15, 1.0e11)
@@ -578,6 +590,47 @@ def test_reading_a_table_holds_at_most_nine_float_columns(tmp_path):
     assert peak_above_start(lambda: ftsi.read_phase_csv(path)) / (8 * n) <= 9
 
 
+def _schubfach_g():
+    """Schubfach's g = floor(10^-k 2^-r) + 1 in [2^127, 2^128), for k = -324..292."""
+    g = []
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        if k <= 0:  # 10^-k = p
+            r = p.bit_length() - 128
+            g.append((p >> r if r >= 0 else p << -r) + 1)
+        else:  # 10^-k = 1 / p
+            g.append((1 << (127 + p.bit_length())) // p + 1)
+    return g
+
+
+def _eisel_lemire_p5():
+    """Eisel-Lemire's 5^q in [2^127, 2^128), truncated to 128 bits, for q = -342..308."""
+    p5 = []
+    for q in range(-342, 309):
+        if q >= 0:  # 5^q with its top bit moved to bit 127, truncated
+            r = (5 ** q).bit_length() - 128
+            p5.append(5 ** q >> r if r >= 0 else 5 ** q << -r)
+        else:  # 1 / 5^-q, one above its floor, then truncated
+            z = (5 ** -q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
+            p5.append(c >> max(c.bit_length() - 128, 0))
+    return p5
+
+
+def test_one_table_set_holds_each_kernels_powers(tmp_path):
+    """The tables a first read builds hold the writer's g and the reader's 5^q, each as its own
+    algorithm computes them."""
+    path = tmp_path / "table.csv"
+    path.write_text("x\n0.1\n")
+    table_io._tables.cache_clear()
+    read_table(path)
+    assert table_io._tables.cache_info().misses == 1  # built by the read
+    t = table_io._tables()
+    assert [int(hi) << 64 | int(lo) for hi, lo in zip(t.g_hi, t.g_lo)] == _schubfach_g()
+    assert [int(hi) << 64 | int(lo) for hi, lo in t.p5.T[:651]] == _eisel_lemire_p5()
+    assert not any(table.flags.writeable for table in t)
+
+
 @pytest.mark.parametrize("key,line", [
     ("grid", "# grid=4096 942477796076937.9"),
     ("grid", "# grid=4096.0 942477796076937.9 690291354548.5386"),
@@ -602,6 +655,25 @@ def test_bad_metadata_value_names_the_file_and_key(tmp_path, records, key, line)
         read_field_csv(path)
     needs = "int float float" if key == "grid" else "float"
     assert str(info.value) == f"{path}: # {key}= needs {needs}, got {line[len(key) + 3:]!r}"
+
+
+@pytest.mark.parametrize("kind,key,second", [
+    ("field", "omega0", "# omega0=2400000000000000.0"),
+    ("gram", "delay_hint", "# delay_hint=2e-12"),
+    ("field", "grid", "# grid=4096 942477796076937.9 690291354548.5386"),  # the same value again
+])
+def test_metadata_key_that_appears_twice_names_the_file_line_and_key(tmp_path, records, kind,
+                                                                    key, second):
+    write, read = _TABLES[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(records[kind], path)
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}=")) + 1
+    lines.insert(at, second + "\n")
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: line {at + 1}: metadata key {key} appears twice"
 
 
 def _recording(monkeypatch, module, name):
