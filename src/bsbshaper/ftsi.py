@@ -101,6 +101,20 @@ def synthesize_interferogram(e_a: SpectralField, e_b: SpectralField, tau_ftsi: f
     return Interferogram(grid, 0.5 * np.abs(total) ** 2, tau_ftsi)
 
 
+_EXP_UNDERFLOW = 1075 * np.log(2)  # exp(-y) rounds to 0.0 in float64 for every y past this
+
+
+def _window(t, t_c: float, width: float, order: int) -> np.ndarray:
+    """exp(-((t - t_c) / width)^order) at the increasing times t, evaluated only where it is
+    not 0.0: beyond width (1075 ln 2)^(1/order) of t_c, here with a 1% margin, every sample
+    rounds to 0.0, so the window has the bits of an evaluation at every sample."""
+    reach = 1.01 * width * _EXP_UNDERFLOW ** (1 / order)
+    lo, hi = np.searchsorted(t, [t_c - reach, t_c + reach])
+    win = np.zeros(len(t))
+    win[lo:hi] = np.exp(-(((t[lo:hi] - t_c) / width) ** order))
+    return win
+
+
 def _sideband(gram: Interferogram, window: FtsiWindow, carrier: float) -> TimeTrace:
     """The gram's pseudo-time trace times the window around the +tau sideband.
 
@@ -120,7 +134,7 @@ def _sideband(gram: Interferogram, window: FtsiWindow, carrier: float) -> TimeTr
         t_c = t[search][np.argmax(np.abs(trace.amplitude[search]))]
     width = window.width if window.width is not None else tau / 3
 
-    win = np.exp(-(((t - t_c) / width) ** window.order))
+    win = _window(t, t_c, width, window.order)
     filtered = trace.amplitude * win
 
     power = np.abs(filtered) ** 2

@@ -1,16 +1,18 @@
 """The one table format of every CSV file the package writes or reads.
 
 `#` comment lines (`# key=value` ones are metadata, the rest provenance text),
-one line of comma-separated column names, then one row per sample.  Every cell is
-made by one vectorised kernel, a block of rows at a time.  A float cell holds the
-shortest decimal digits that read back as the float, the nearest such and ties to
-even (Schubfach: Giulietti, "The Schubfach way to render doubles", 2020), laid out as
-`repr(float)` lays them out, so its bytes are repr's and it reads back exactly.
-Only float and boolean columns are written, a boolean cell as 0 or 1.  A metadata
-value is written as `repr` writes its Python value, and a key may appear only once.  A
-grid's `GridCells` (`grid_cells`), passed in place of a column, stand for its frequency
-column, made once per grid value and process; `pulsefield.write_grid_table` writes them
-and the grid's `# grid=` line, and `read_grid_table` reads both.
+one line of comma-separated column names, then one row per sample.  Every float cell is
+made by one vectorised kernel, about BLOCK_CELLS cells at a time whatever the table's
+width.  A float cell holds the shortest decimal digits that read back as the float, the
+nearest such and ties to even (Schubfach: Giulietti, "The Schubfach way to render
+doubles", 2020), laid out as `repr(float)` lays them out, so its bytes are repr's and it
+reads back exactly.  Only float and boolean columns are written, a boolean cell as 0 or 1.
+Each row is laid into a slab where each column takes its own width and separator, and one
+pass drops the NULs that pad the shorter cells.  A metadata value is written as `repr`
+writes its Python value, and a key may appear only once.  A grid's `GridCells`
+(`grid_cells`), passed in place of a column, stand for its frequency column: one array of
+cells, made once per grid value and process.  `pulsefield.write_grid_table` writes them and
+the grid's `# grid=` line, and `read_grid_table` reads both.
 
 Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
 decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-BLOCK_ROWS = 2048  # rows formatted at a time, which bounds the writer's working set
+BLOCK_CELLS = 6144  # float cells formatted at a time, which bounds the writer's working set
 CHUNK_BYTES = 1 << 16  # bytes of rows parsed at a time, which bounds the reader's working set
 
 _U = np.uint64
@@ -267,8 +269,8 @@ class GridCells(NamedTuple):
     """What a grid writes into a table's frequency column, made once per grid value and process."""
 
     rows: int  # its sample count
-    blocks: tuple[np.ndarray, ...]  # the cells of its `omegas`, one read-only byte array per
-    #                                 block of BLOCK_ROWS rows, as wide as its longest cell
+    cells: np.ndarray  # the cells of its `omegas`, one read-only byte row each, NUL-padded to
+    #                    its longest cell
 
 
 @lru_cache(maxsize=8, typed=True)  # grids whose cells are kept, least recently used dropped
@@ -279,13 +281,12 @@ def _frequency_cells(grid_type, *fields) -> GridCells:
     by their types, for a grid with int fields computes its `omegas` in int64.
     """
     w = np.asarray(grid_type(*fields).omegas, np.float64)
-    blocks = []
-    for i in range(0, len(w), BLOCK_ROWS):
-        cells = _float_cells(w[i:i + BLOCK_ROWS])
-        cells = cells[:, :np.flatnonzero(cells.any(axis=0))[-1] + 1].copy()
-        cells.setflags(write=False)
-        blocks.append(cells)
-    return GridCells(len(w), tuple(blocks))
+    cells = np.empty((len(w), _WIDTH), np.uint8)
+    for i in range(0, len(w), BLOCK_CELLS):
+        cells[i:i + BLOCK_CELLS] = _float_cells(w[i:i + BLOCK_CELLS])
+    cells = cells[:, :np.count_nonzero(cells.any(axis=0))].copy()  # a cell's NULs trail it
+    cells.setflags(write=False)
+    return GridCells(len(w), cells)
 
 
 def grid_cells(grid) -> GridCells:
@@ -330,41 +331,45 @@ _BOOL_CELLS = np.frombuffer(b"01", np.uint8)  # the cell of False and of True, o
 
 def _rows(columns, start, stop) -> str:
     """Rows start..stop of the table: each cell, then "," or, after the last, a newline."""
-    rows = stop - start
-    slab = np.zeros((rows, len(columns), _WIDTH + 1), np.uint8)  # NULs are dropped at the end
-    slab[:, :, _WIDTH] = ord(",")
-    slab[:, -1, _WIDTH] = ord("\n")
-    groups = {}  # array columns by a kind that concatenates exactly: float or bool
+    widths = [c.cells.shape[1] if isinstance(c, GridCells) else 1 if c.dtype.kind == "b"
+              else _WIDTH for c in columns]
+    at = np.cumsum([0] + [w + 1 for w in widths])  # where each column's slot starts in a row
+    slab = np.empty((stop - start, at[-1]), np.uint8)  # every byte written, NULs dropped at the end
+    slab[:, at[1:-1] - 1] = ord(",")
+    slab[:, -1] = ord("\n")
+    floats = []
     for j, column in enumerate(columns):
         if isinstance(column, GridCells):
-            cells = column.blocks[start // BLOCK_ROWS]
-            slab[:, j, :cells.shape[1]] = cells
+            slab[:, at[j]:at[j + 1] - 1] = column.cells[start:stop]
+        elif column.dtype.kind == "b":  # a byte lookup, not the kernel
+            slab[:, at[j]] = _BOOL_CELLS[column[start:stop].astype(np.uint8)]
         else:
-            groups.setdefault(column.dtype.kind, []).append(j)
-    for kind, group in groups.items():  # one call per kind formats the block's columns
-        values = np.concatenate([columns[j][start:stop] for j in group])
-        if kind == "b":  # a byte lookup, not the kernel
-            slab[:, group, 0] = _BOOL_CELLS[values.astype(np.uint8)].reshape(len(group), rows).T
-        else:
-            slab[:, group, :_WIDTH] = _float_cells(np.ascontiguousarray(values, np.float64)) \
-                .reshape(len(group), rows, _WIDTH).swapaxes(0, 1)
+            floats.append(j)
+    if floats:  # one kernel call formats the block's float columns
+        cells = _float_cells(np.ascontiguousarray(
+            np.concatenate([columns[j][start:stop] for j in floats]), np.float64))
+        for j, c in zip(floats, cells.reshape(len(floats), stop - start, _WIDTH)):
+            slab[:, at[j]:at[j + 1] - 1] = c
     return slab[slab != 0].tobytes().decode("ascii")
 
 
 def write_table(path, header_lines, names, columns):
     """Write `header_lines`, the column `names`, then one row per sample; a stream stays open.
 
+    Rows go out in blocks of about BLOCK_CELLS float cells, whatever the table's width.
     Raises ValueError when the columns differ in length, or a name is missing or extra, and
     TypeError for a column of other than float or boolean values, before writing.
     """
     columns, rows = _checked_columns(names, columns)
+    floats = sum(not isinstance(c, GridCells) and c.dtype.kind == "f" for c in columns)
+    block = max(1, BLOCK_CELLS // max(floats, 1))
     opened = open(path, "w") if isinstance(path, (str, os.PathLike)) \
         else contextlib.nullcontext(path)
     with opened as fh:
         fh.writelines(header_lines)
         fh.write(",".join(names) + "\n")
-        for start in range(0, rows, BLOCK_ROWS):
-            fh.write(_rows(columns, start, min(start + BLOCK_ROWS, rows)))
+        for start in range(0, rows, block):
+            fh.write(_rows(columns, start, min(start + block, rows)))
 
 
 _NUMBER = re.compile(rb"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"

@@ -11,7 +11,7 @@ from bsbshaper.ftsi import (FtsiWindow, Interferogram, RetrievedPhase,
                             synthesize_interferogram, unwrap, wrap_to_principal,
                             write_interferogram_csv, write_phase_csv)
 from bsbshaper.pulsefield import (SpectralField, SpectralGrid, apply_transfer, default_grid,
-                                  gaussian_pulse)
+                                  gaussian_pulse, to_time)
 from conftest import OMEGA0_800, peak_above_start
 
 TAU = 1e-12
@@ -254,3 +254,18 @@ def test_retrieve_phase_working_set_is_bounded():
     gram = synthesize_interferogram(pulse, pulse, TAU)
     retrieve_phase(gram)  # a cold first call, which the bound leaves out
     assert peak_above_start(lambda: retrieve_phase(gram)) / (16 * n) <= 7
+
+
+@pytest.mark.parametrize("n", [4096, 2**16])
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_window_is_evaluated_where_it_is_nonzero_with_the_bits_of_every_sample(n, order):
+    """The window, evaluated only inside its reach, equals an evaluation at every sample bit for
+    bit: on the sideband, with a reach past the trace's first or last sample, centred off the
+    trace, and wider than the trace."""
+    t = to_time(gaussian_pulse(default_grid(n), OMEGA0_800, 2 * np.pi * 100e12)).times
+    span = t[-1] - t[0]
+    for t_c, width in [(TAU, TAU / 3), (t[0] + TAU / 10, TAU / 3), (t[-1] - TAU / 10, TAU / 3),
+                       (t[0] - TAU / 10, TAU / 3), (t[-1] + TAU / 2, TAU / 3), (50e-12, TAU / 3),
+                       (0.0, span), (TAU, 3 * span)]:
+        full = np.exp(-(((t - t_c) / width) ** order))
+        assert ftsi._window(t, t_c, width, order).tobytes() == full.tobytes(), (t_c, width)

@@ -384,6 +384,84 @@ def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, r
     assert cells.cache_info() == before  # the column is parsed and compared, never formatted
 
 
+@dataclasses.dataclass(frozen=True)
+class _AnyGrid:
+    """A grid of any sample count, as `io.grid_cells` takes it; a SpectralGrid's is a power of 2."""
+
+    n_samples: int
+    omega_start: float
+    omega_step: float
+
+    @property
+    def omegas(self):
+        return self.omega_start + self.omega_step * np.arange(self.n_samples)
+
+
+def _edge_columns(rows, floats, seed):
+    """`floats` columns of random bit patterns with each special value, and a random boolean
+    column."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2**64, (floats, rows), dtype=np.uint64, endpoint=False).view(np.float64)
+    x[:, :5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    return [*x, rng.random(rows) < 0.5]
+
+
+@pytest.mark.parametrize("floats", [0, 1, 2, 3])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_tables_that_straddle_the_block_edges_are_repr_and_read_back(tmp_path, floats, blocks,
+                                                                     extra):
+    """A block holds BLOCK_CELLS // floats rows (BLOCK_CELLS with no float column); grid and
+    boolean cells do not count.  A grid's cells filled cold write what they write warm."""
+    block = table_io.BLOCK_CELLS // floats if floats else table_io.BLOCK_CELLS
+    rows = blocks * block + extra
+    grid, columns = _AnyGrid(rows, 3.0e15, 1.0e11), _edge_columns(rows, floats, seed=rows + floats)
+    names = ["omega_rad_per_s", *(f"x{j}" for j in range(floats)), "masked"]
+    table_io._frequency_cells.cache_clear()
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    write_table(cold, [], names, [table_io.grid_cells(grid), *columns])
+    write_table(warm, [], names, [table_io.grid_cells(grid), *columns])
+    assert table_io._frequency_cells.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert cold.read_bytes() == warm.read_bytes()
+    cells = [map(repr, grid.omegas.tolist()), *(map(repr, c.tolist()) for c in columns[:-1]),
+             ("01"[m] for m in columns[-1].tolist())]
+    assert cold.read_text().splitlines() == [",".join(names), *map(",".join, zip(*cells))]
+    _, data = read_table(cold)
+    for name, column in zip(names[1:], columns):
+        read, want = data[name], np.asarray(column, np.float64)
+        assert np.array_equal(np.isnan(read), np.isnan(want)), name
+        assert read[~np.isnan(read)].tobytes() == want[~np.isnan(want)].tobytes(), name
+    assert data["omega_rad_per_s"].tobytes() == grid.omegas.tobytes()
+
+
+# write_table's peak above its start, warm, by tracemalloc; the parent of BLOCK_CELLS, which
+# formatted 2048 rows a block, measured 0.49 (gram) to 1.41 MB (ratio) at both sizes
+_TABLE_SHAPES = {"gram": (1, 0), "spectra": (2, 0), "phase": (2, 1), "ratio": (3, 1)}
+
+
+def test_table_writer_working_set_does_not_grow_with_the_table(tmp_path):
+    """Each table shape's writer peak stays under 1.5 MB and grows by at most 64 KiB from 2^14
+    to 2^16 rows.
+
+    Measured 1.35-1.42 MB for every shape at both sizes, and at most 1 KB of growth.  A writer
+    that formats a whole table at once holds several MB at 2^14 and four times that at 2^16.
+    """
+    path, peaks = tmp_path / "table.csv", {}
+    for n in (2**14, 2**16):
+        rng = np.random.default_rng(n)
+        for shape, (floats, bools) in _TABLE_SHAPES.items():
+            columns = [table_io.grid_cells(default_grid(n)),
+                       *(rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+                         for _ in range(floats)),
+                       *(rng.random(n) < 0.5 for _ in range(bools))]
+            names = [f"c{j}" for j in range(len(columns))]
+            write_table(path, [], names, columns)  # fills the grid's cells and the tables
+            peaks[shape, n] = peak_above_start(lambda: write_table(path, [], names, columns))
+    for shape in _TABLE_SHAPES:
+        assert peaks[shape, 2**14] <= 1.5e6, shape
+        assert peaks[shape, 2**16] <= 1.5e6, shape
+        assert peaks[shape, 2**16] - peaks[shape, 2**14] <= 64 * 1024, shape
+
+
 def test_array_first_column_is_formatted_cell_by_cell(tmp_path):
     """A table without a grid column, like `design sweep`'s, formats every column's values."""
     thickness = np.geomspace(0.5, 80.0, 2500)
