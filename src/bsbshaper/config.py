@@ -9,7 +9,7 @@ import yaml
 
 from . import dispersion, shaper
 from .errors import ConfigError
-from .ftsi import FtsiWindow
+from .ftsi import DEFAULT_WINDOW_ORDER, FtsiWindow
 from .pulsefield import SpectralField, SpectralGrid, gaussian_pulse
 
 
@@ -25,7 +25,7 @@ class RunConfig:
     carrier_nm: float = 800.0
     fwhm_thz: float = 100.0  # spectral intensity FWHM of the test pulse
     tau_ftsi_fs: float = 1000.0
-    window_order: int = 6
+    window_order: int = DEFAULT_WINDOW_ORDER
     window_width_fs: float | None = None  # None: tau_ftsi / 3
     extra_phase_gdd_fs2: float = 200.0  # stand-in for delay-crystal dispersion
     outdir: str = "."

@@ -9,10 +9,9 @@ doubles", 2020), laid out as `repr(float)` lays them out, so its bytes are repr'
 reads back exactly.  Only float and boolean columns are written, a boolean cell as 0 or 1.
 Each row is laid into a slab where each column takes its own width and separator, and one
 pass drops the NULs that pad the shorter cells.  A metadata value is written as `repr`
-writes its Python value, and a key may appear only once.  A grid's `GridCells`
-(`grid_cells`), passed in place of a column, stand for its frequency column: one array of
-cells, made once per grid value and process.  `pulsefield.write_grid_table` writes them and
-the grid's `# grid=` line, and `read_grid_table` reads both.
+writes its Python value, and a key may appear only once.  A column's `Cells`
+(`format_cells`), passed in place of it, are written as they were formatted, so a column that
+many tables share is formatted once.
 
 Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
 decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
@@ -31,7 +30,6 @@ import contextlib
 import locale
 import os
 import re
-from dataclasses import astuple
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -265,38 +263,25 @@ def _float_cells(x) -> np.ndarray:
     return chars
 
 
-class GridCells(NamedTuple):
-    """What a grid writes into a table's frequency column, made once per grid value and process."""
+class Cells(NamedTuple):
+    """A float column formatted ahead of the tables that write it (`format_cells`)."""
 
-    rows: int  # its sample count
-    cells: np.ndarray  # the cells of its `omegas`, one read-only byte row each, NUL-padded to
-    #                    its longest cell
+    cells: np.ndarray  # one read-only byte row per value, NUL-padded to the longest cell
 
 
-@lru_cache(maxsize=8, typed=True)  # grids whose cells are kept, least recently used dropped
-def _frequency_cells(grid_type, *fields) -> GridCells:
-    """The GridCells of the grid `grid_type(*fields)`.
-
-    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept, and
-    by their types, for a grid with int fields computes its `omegas` in int64.
-    """
-    w = np.asarray(grid_type(*fields).omegas, np.float64)
-    cells = np.empty((len(w), _WIDTH), np.uint8)
-    for i in range(0, len(w), BLOCK_CELLS):
-        cells[i:i + BLOCK_CELLS] = _float_cells(w[i:i + BLOCK_CELLS])
+def format_cells(column) -> Cells:
+    """The Cells of a float column, formatted BLOCK_CELLS values at a time."""
+    x = np.asarray(column, np.float64)
+    cells = np.empty((len(x), _WIDTH), np.uint8)
+    for i in range(0, len(x), BLOCK_CELLS):
+        cells[i:i + BLOCK_CELLS] = _float_cells(x[i:i + BLOCK_CELLS])
     cells = cells[:, :np.count_nonzero(cells.any(axis=0))].copy()  # a cell's NULs trail it
     cells.setflags(write=False)
-    return GridCells(len(w), cells)
-
-
-def grid_cells(grid) -> GridCells:
-    """The frequency cells of a grid (an object with `omegas` whose dataclass fields are its
-    sample count, first frequency and step)."""
-    return _frequency_cells(type(grid), *astuple(grid))
+    return Cells(cells)
 
 
 def _checked_columns(names, columns) -> tuple[list, int]:
-    """(columns, rows): each array column as an array, and each GridCells.
+    """(columns, rows): each array column as an array, and each Cells.
 
     A name too many or too few, a column of other than float or boolean values, or columns
     of different lengths raise, so that no row is dropped nor a cell written that
@@ -306,9 +291,9 @@ def _checked_columns(names, columns) -> tuple[list, int]:
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
     checked, lengths = [], []
     for name, column in zip(names, columns):
-        if isinstance(column, GridCells):  # a grid's cells stand for its frequency column
+        if isinstance(column, Cells):  # formatted already
             checked.append(column)
-            lengths.append(column.rows)
+            lengths.append(len(column.cells))
             continue
         column = np.asarray(column)
         if column.dtype.kind not in "fb":
@@ -331,7 +316,7 @@ _BOOL_CELLS = np.frombuffer(b"01", np.uint8)  # the cell of False and of True, o
 
 def _rows(columns, start, stop) -> str:
     """Rows start..stop of the table: each cell, then "," or, after the last, a newline."""
-    widths = [c.cells.shape[1] if isinstance(c, GridCells) else 1 if c.dtype.kind == "b"
+    widths = [c.cells.shape[1] if isinstance(c, Cells) else 1 if c.dtype.kind == "b"
               else _WIDTH for c in columns]
     at = np.cumsum([0] + [w + 1 for w in widths])  # where each column's slot starts in a row
     slab = np.empty((stop - start, at[-1]), np.uint8)  # every byte written, NULs dropped at the end
@@ -339,7 +324,7 @@ def _rows(columns, start, stop) -> str:
     slab[:, -1] = ord("\n")
     floats = []
     for j, column in enumerate(columns):
-        if isinstance(column, GridCells):
+        if isinstance(column, Cells):
             slab[:, at[j]:at[j + 1] - 1] = column.cells[start:stop]
         elif column.dtype.kind == "b":  # a byte lookup, not the kernel
             slab[:, at[j]] = _BOOL_CELLS[column[start:stop].astype(np.uint8)]
@@ -361,7 +346,7 @@ def write_table(path, header_lines, names, columns):
     TypeError for a column of other than float or boolean values, before writing.
     """
     columns, rows = _checked_columns(names, columns)
-    floats = sum(not isinstance(c, GridCells) and c.dtype.kind == "f" for c in columns)
+    floats = sum(not isinstance(c, Cells) and c.dtype.kind == "f" for c in columns)
     block = max(1, BLOCK_CELLS // max(floats, 1))
     opened = open(path, "w") if isinstance(path, (str, os.PathLike)) \
         else contextlib.nullcontext(path)
@@ -400,10 +385,6 @@ def meta_values(text: str, types) -> list:
             raise ValueError(f"{cell!r} is not an integer")
         values.append(int(cell) if kind is int else _number(cell))
     return values
-
-
-def _is_number(cell: str) -> bool:
-    return _NUMBER.fullmatch(cell.encode().strip()) is not None
 
 
 _ZERO, _COMMA, _NEWLINE, _POINT, _PLUS, _MINUS, _LOWER_E = (np.uint8(ord(c)) for c in "0,\n.+-e")
@@ -646,7 +627,7 @@ def read_table(path, required_keys=(),
     with open(path, "rb") as fh:
         encoding = locale.getpreferredencoding(False)
         metadata, names, line, blocks = _head(path, _blocks(fh), encoding)
-        if not names or any(map(_is_number, names)):
+        if not names or any(_NUMBER.fullmatch(name.encode().strip()) for name in names):
             raise ValueError(f"{path}: no column-name line before the data rows")
         if twice := [name for i, name in enumerate(names) if name in names[:i]]:
             raise ValueError(f"{path}: column {twice[0]} appears twice in the column-name line")

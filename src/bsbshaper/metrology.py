@@ -175,7 +175,7 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
         residuals={
             "omega1_over_omega0": w1 / omega0,
             "omega1_residual": abs(w1 - target_omega1) / omega0,
-            "delay_residual": abs(total_dkp - target_tau) / abs(target_tau) if target_tau else 0.0,
+            "delay_residual": abs(total_dkp - target_tau) / abs(target_tau),
             "condition_number": cond,
         },
     )

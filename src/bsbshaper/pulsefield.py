@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BsbShaperError, GridMismatchError, SupportLeakError
-from .io import grid_cells, meta_line, meta_values, read_table, write_table
+from .io import Cells, format_cells, meta_line, meta_values, read_table, write_table
 
 EDGE_LEAK_FRACTION = 1e-6
 BAND_INTENSITY_FLOOR = 1e-4  # of peak spectral intensity, the edge of a field's band
@@ -66,10 +66,17 @@ class SpectralGrid:
         return a
 
 
+@lru_cache(maxsize=8, typed=True)  # grids whose cells are kept, least recently used dropped
+def _frequency_cells(*fields) -> Cells:
+    """The frequency cells of `SpectralGrid(*fields)`, keyed by its fields and their types (int
+    fields give int64 `omegas`), so that no grid, nor its `omegas` array, is kept."""
+    return format_cells(SpectralGrid(*fields).omegas)
+
+
 def write_grid_table(path, grid: SpectralGrid, header_lines, names, columns):
     """`header_lines`, the `# grid=` line, then `omega_rad_per_s` and the named columns."""
     write_table(path, [*header_lines, meta_line("grid", *astuple(grid))],
-                ["omega_rad_per_s", *names], [grid_cells(grid), *columns])
+                ["omega_rad_per_s", *names], [_frequency_cells(*astuple(grid)), *columns])
 
 
 def read_grid_table(path, keys=(), names=()) -> tuple[SpectralGrid, dict, dict]:
@@ -223,13 +230,11 @@ class _Chirps(NamedTuple):
 
 
 @lru_cache(maxsize=1, typed=True)  # the last grid's chirps
-def _chirps(grid_type, n_samples, omega_start, omega_step, t_step, t_start) -> _Chirps:
-    """The grid-only factors of `to_time` and `to_frequency`, each read-only, for the grid and
-    a trace sampled at `t_start + t_step * k`.
-
-    Keyed by the grid's type and fields, so that no grid, nor its `omegas` array, is kept.
-    """
-    grid = grid_type(n_samples, omega_start, omega_step)
+def _chirps(n_samples, omega_start, omega_step, t_step, t_start) -> _Chirps:
+    """The grid-only factors of `to_time` and `to_frequency`, each read-only, for the grid of
+    these fields and a trace sampled at `t_start + t_step * k`, keyed by the fields (so that no
+    grid, nor its `omegas` array, is kept) and by the trace's step and start."""
+    grid = SpectralGrid(n_samples, omega_start, omega_step)
     k = np.arange(n_samples)
     t = t_start + t_step * k
     chirps = _Chirps(np.exp(-1j * k * omega_step * t_start),
@@ -257,7 +262,7 @@ def to_time(field: SpectralField) -> TimeTrace:
     grid = field.grid
     dt = grid.time_step
     t_start = -(grid.n_samples // 2) * dt
-    chirps = _chirps(type(grid), *astuple(grid), dt, t_start)
+    chirps = _chirps(*astuple(grid), dt, t_start)
     spec = np.fft.fft(_times_chirp(field.amplitude, chirps.time_pre))
     # chirp first at every size, as in (omega_step / 2pi exp(z)) * spec, whose left operand
     # is the temporary
@@ -267,7 +272,7 @@ def to_time(field: SpectralField) -> TimeTrace:
 def to_frequency(trace: TimeTrace, grid: SpectralGrid, omega0: float) -> SpectralField:
     """Inverse of to_time for a trace produced on (or consistent with) `grid`."""
     amplitude = grid.samples(trace.amplitude, complex, "time trace")
-    chirps = _chirps(type(grid), *astuple(grid), trace.t_step, trace.t_start)
+    chirps = _chirps(*astuple(grid), trace.t_step, trace.t_start)
     pre = _times_chirp(amplitude, chirps.frequency_pre)
     spec = np.fft.ifft(pre) * grid.n_samples * trace.t_step
     return SpectralField(grid, _times_chirp(spec, chirps.frequency_post), omega0)

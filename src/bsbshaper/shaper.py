@@ -77,14 +77,13 @@ class TransferFunction:
 
 
 @lru_cache(maxsize=WAVEVECTOR_TABLES)
-def _wavevectors(material: Material, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (k_e - k_o, k_e + k_o) [rad/m] on the grid, one Sellmeier evaluation per axis.
-
-    Cached per (material, grid); a grid outside the validity window raises on
-    every call, because an exception is not cached.
-    """
-    c = dispersion.contrast(material, grid.omegas)
-    tables = (c.delta_k, (c.n_e + c.n_o) * grid.omegas / C_LIGHT)
+def _wavevectors(material: Material, *fields) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (k_e - k_o, k_e + k_o) [rad/m] on `SpectralGrid(*fields)`, one Sellmeier
+    evaluation per axis; keyed by the grid's fields, so that no grid, nor its `omegas` array,
+    is kept.  A grid outside the validity window raises on every call: errors are not cached."""
+    omegas = SpectralGrid(*fields).omegas
+    c = dispersion.contrast(material, omegas)
+    tables = (c.delta_k, (c.n_e + c.n_o) * omegas / C_LIGHT)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -94,7 +93,8 @@ def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:
     """psi/2 = sum of (k_e - k_o) L / 2 over the segments."""
     psi_half = np.zeros(grid.n_samples)
     for material, thickness in segments:
-        psi_half += _wavevectors(material, grid)[0] * thickness / 2
+        psi_half += _wavevectors(material, grid.n_samples, grid.omega_start,
+                                 grid.omega_step)[0] * thickness / 2
     return psi_half
 
 
@@ -111,7 +111,8 @@ def transfer_exact_segments(segments, grid: SpectralGrid) -> TransferPair:
     psi_half = _half_retardance(segments, grid)
     phi = np.zeros(grid.n_samples)
     for material, thickness in segments:
-        phi += _wavevectors(material, grid)[1] * abs(thickness) / 2
+        phi += _wavevectors(material, grid.n_samples, grid.omega_start,
+                            grid.omega_step)[1] * abs(thickness) / 2
     return TransferPair(grid, (1 + 0j) * np.cos(psi_half), 1j * np.sin(psi_half), phi)
 
 

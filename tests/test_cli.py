@@ -74,6 +74,14 @@ def test_design_achromat_rejects_a_segment_past_the_thickness_bound(capsys):
     assert captured.err.startswith("error: |thickness| = ")
 
 
+def test_design_achromat_with_zero_delay_is_degenerate(capsys):
+    code = main(["design", "achromat", "--tau-fs", "0",
+                 "--nu-start-thz", "185", "--nu-end-thz", "565"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: achromat stack has zero net group-delay contrast\n"
+
+
 def test_transfer_requires_thickness(capsys):
     assert main(["transfer"]) == 1
     assert "thickness" in capsys.readouterr().err

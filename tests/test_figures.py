@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,7 @@ def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
     not at all when it runs again.
     """
     config = RunConfig(outdir=str(tmp_path))
-    shaper._wavevectors(dispersion.get_material(config.material), config.grid())
+    shaper._wavevectors(dispersion.get_material(config.material), *astuple(config.grid()))
     calls = []
     index = dispersion.refractive_index
     monkeypatch.setattr(dispersion, "refractive_index",

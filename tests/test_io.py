@@ -325,7 +325,7 @@ def test_frequency_column_is_checked_against_the_grid_line(tmp_path, records, ki
 
 
 def test_cold_and_warm_frequency_cells_write_the_same_bytes(tmp_path, records):
-    cells = table_io._frequency_cells
+    cells = pulsefield._frequency_cells
     cells.cache_clear()
     cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
     ftsi.write_phase_csv(records["phase"], cold)
@@ -349,12 +349,12 @@ def test_stream_destination_gets_the_file_bytes(tmp_path, capsys, records):
 
 
 def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
-    cells, path = table_io._frequency_cells, tmp_path / "table.csv"
+    cells, path = pulsefield._frequency_cells, tmp_path / "table.csv"
     bound = cells.cache_info().maxsize
     for k in range(bound + 3):
         grid = SpectralGrid(4, 1.0 + k, 0.5)
-        write_table(path, [], ["omega_rad_per_s"], [table_io.grid_cells(grid)])
-        assert path.read_text().split()[1:] == list(map(repr, grid.omegas.tolist()))
+        write_grid_table(path, grid, [], [], [])
+        assert path.read_text().splitlines()[2:] == list(map(repr, grid.omegas.tolist()))
     assert cells.cache_info().currsize == bound
 
 
@@ -371,7 +371,7 @@ def test_equal_int_and_float_field_grids_each_write_their_own_grid_line(tmp_path
 
 
 def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, records):
-    cells, path = table_io._frequency_cells, tmp_path / "phase.csv"
+    cells, path = pulsefield._frequency_cells, tmp_path / "phase.csv"
     grid = SpectralGrid(2048, 3.0e15, 1.0e11)
     grid.omegas  # filled, as a writer's grid always is
     gone = weakref.ref(grid)
@@ -382,19 +382,6 @@ def test_frequency_cell_cache_keeps_no_grid_and_reads_leave_it_alone(tmp_path, r
     before = cells.cache_info()
     ftsi.read_phase_csv(path)
     assert cells.cache_info() == before  # the column is parsed and compared, never formatted
-
-
-@dataclasses.dataclass(frozen=True)
-class _AnyGrid:
-    """A grid of any sample count, as `io.grid_cells` takes it; a SpectralGrid's is a power of 2."""
-
-    n_samples: int
-    omega_start: float
-    omega_step: float
-
-    @property
-    def omegas(self):
-        return self.omega_start + self.omega_step * np.arange(self.n_samples)
 
 
 def _edge_columns(rows, floats, seed):
@@ -410,27 +397,26 @@ def _edge_columns(rows, floats, seed):
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
 def test_tables_that_straddle_the_block_edges_are_repr_and_read_back(tmp_path, floats, blocks,
                                                                      extra):
-    """A block holds BLOCK_CELLS // floats rows (BLOCK_CELLS with no float column); grid and
-    boolean cells do not count.  A grid's cells filled cold write what they write warm."""
+    """A block holds BLOCK_CELLS // floats rows (BLOCK_CELLS with no float column); formatted
+    and boolean cells do not count.  A column's cells formatted ahead write what it writes."""
     block = table_io.BLOCK_CELLS // floats if floats else table_io.BLOCK_CELLS
     rows = blocks * block + extra
-    grid, columns = _AnyGrid(rows, 3.0e15, 1.0e11), _edge_columns(rows, floats, seed=rows + floats)
+    omegas = 3.0e15 + 1.0e11 * np.arange(rows)  # any row count, where a grid's is a power of 2
+    columns = _edge_columns(rows, floats, seed=rows + floats)
     names = ["omega_rad_per_s", *(f"x{j}" for j in range(floats)), "masked"]
-    table_io._frequency_cells.cache_clear()
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    write_table(cold, [], names, [table_io.grid_cells(grid), *columns])
-    write_table(warm, [], names, [table_io.grid_cells(grid), *columns])
-    assert table_io._frequency_cells.cache_info()[:2] == (1, 1)  # (hits, misses)
-    assert cold.read_bytes() == warm.read_bytes()
-    cells = [map(repr, grid.omegas.tolist()), *(map(repr, c.tolist()) for c in columns[:-1]),
+    path, plain = tmp_path / "formatted.csv", tmp_path / "plain.csv"
+    write_table(path, [], names, [table_io.format_cells(omegas), *columns])
+    write_table(plain, [], names, [omegas, *columns])
+    assert path.read_bytes() == plain.read_bytes()
+    cells = [map(repr, omegas.tolist()), *(map(repr, c.tolist()) for c in columns[:-1]),
              ("01"[m] for m in columns[-1].tolist())]
-    assert cold.read_text().splitlines() == [",".join(names), *map(",".join, zip(*cells))]
-    _, data = read_table(cold)
+    assert path.read_text().splitlines() == [",".join(names), *map(",".join, zip(*cells))]
+    _, data = read_table(path)
     for name, column in zip(names[1:], columns):
         read, want = data[name], np.asarray(column, np.float64)
         assert np.array_equal(np.isnan(read), np.isnan(want)), name
         assert read[~np.isnan(read)].tobytes() == want[~np.isnan(want)].tobytes(), name
-    assert data["omega_rad_per_s"].tobytes() == grid.omegas.tobytes()
+    assert data["omega_rad_per_s"].tobytes() == omegas.tobytes()
 
 
 # write_table's peak above its start, warm, by tracemalloc; the parent of BLOCK_CELLS, which
@@ -449,7 +435,7 @@ def test_table_writer_working_set_does_not_grow_with_the_table(tmp_path):
     for n in (2**14, 2**16):
         rng = np.random.default_rng(n)
         for shape, (floats, bools) in _TABLE_SHAPES.items():
-            columns = [table_io.grid_cells(default_grid(n)),
+            columns = [pulsefield._frequency_cells(*dataclasses.astuple(default_grid(n))),
                        *(rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
                          for _ in range(floats)),
                        *(rng.random(n) < 0.5 for _ in range(bools))]
@@ -628,7 +614,7 @@ def test_columns_of_different_lengths_are_rejected(tmp_path):
         write_table(path, [], ["a", "b"], [np.arange(5.0), np.arange(3.0)])
     with pytest.raises(ValueError, match="^column x has 3 rows, where column omega has 4$"):
         write_table(path, [], ["omega", "x"],
-                    [table_io.grid_cells(SpectralGrid(4, 1.0, 0.5)), np.arange(3.0)])
+                    [table_io.format_cells(np.arange(4.0)), np.arange(3.0)])
     assert not path.exists()  # nothing is written
 
 

@@ -118,7 +118,7 @@ def test_cached_chirps_are_read_only_and_keep_no_grid():
     grid = SpectralGrid(1024, 2e15, 1e12)
     trace = to_time(SpectralField(grid, np.ones(grid.n_samples), grid.omegas[512]))
     hits = pulsefield._chirps.cache_info().hits
-    chirps = pulsefield._chirps(type(grid), *astuple(grid), trace.t_step, trace.t_start)
+    chirps = pulsefield._chirps(*astuple(grid), trace.t_step, trace.t_start)
     assert pulsefield._chirps.cache_info().hits == hits + 1  # the chirps to_time built
     for chirp in chirps:
         with pytest.raises(ValueError, match="read-only"):

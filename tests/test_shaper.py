@@ -1,3 +1,6 @@
+import weakref
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from bsbshaper import dispersion, shaper
 from bsbshaper.errors import BsbShaperError, WavelengthRangeError
+from bsbshaper.pulsefield import default_grid
 from bsbshaper.shaper import (Compensator, effective_response,
                               first_order_response, objective, objective_r2,
                               transfer_exact, transfer_exact_segments)
@@ -140,7 +144,6 @@ def test_first_order_converges_to_exact_at_second_order(quartz, grid):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=-100.0, max_value=100.0))
 def test_unitarity_any_thickness(um):
-    from bsbshaper.pulsefield import default_grid
     quartz = dispersion.get_material("quartz")
     pair = transfer_exact(Compensator(quartz, um * 1e-6), default_grid())
     assert np.max(np.abs(np.abs(pair.h_x) ** 2 + np.abs(pair.h_y) ** 2 - 1)) < 1e-12
@@ -222,10 +225,26 @@ def test_wavevector_tables_and_omegas_are_read_only(quartz, grid):
     assert grid.omegas is grid.omegas
     with pytest.raises(ValueError, match="read-only"):
         grid.omegas[0] = 1.0
-    for table in shaper._wavevectors(quartz, grid):
+    tables = shaper._wavevectors(quartz, *astuple(grid))
+    for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
-    assert shaper._wavevectors(quartz, grid) is shaper._wavevectors(quartz, grid)
+    assert shaper._wavevectors(quartz, *astuple(grid)) is tables
+
+
+def test_wavevector_cache_keeps_no_grid(quartz):
+    grid = default_grid(1024)
+    grid.omegas  # filled, as a transfer's grid always is
+    transfer_exact(Compensator(quartz, 5.4e-6), grid)
+    tables = shaper._wavevectors(quartz, *astuple(grid))
+    gone = weakref.ref(grid)
+    del grid
+    assert gone() is None  # the cache holds the grid's fields, not the grid nor its omegas
+    again = shaper._wavevectors(quartz, *astuple(default_grid(1024)))
+    assert all(a is b for a, b in zip(again, tables))  # an equal grid shares the tables
+    for table in again:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_out_of_range_grid_raises_on_every_call(kdp, grid):
