@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dispersion, ftsi, metrology, shaper
 from .config import RunConfig, config_header, validate_config
 from .errors import ConfigError
-from .pulsefield import apply_transfer, write_grid_table
+from .io import Cells, format_cells
+from .pulsefield import SpectralGrid, apply_transfer, write_grid_table
 from .shaper import Compensator
 
 
@@ -90,29 +93,60 @@ def _arms(config: RunConfig):
             head)
 
 
-def _interferograms(config: RunConfig):
-    """(gram with the device, reference gram, header lines) of fig3/fig5.
-
-    The pulse and both arms die on return, before the retrieval starts.
-    """
+def _device_gram(config: RunConfig):
+    """(gram with the device, header lines) of fig3/fig5; the pulse and both arms die on
+    return, before the retrieval starts."""
     pulse, arm_signal, arm_shaped, head = _arms(config)
-    tau = config.tau_ftsi_fs * 1e-15
-    extra = config.extra_phase(pulse)
-    return (ftsi.synthesize_interferogram(arm_signal, arm_shaped, tau, extra),
-            ftsi.synthesize_interferogram(pulse, pulse, tau, extra), head)
+    return ftsi.synthesize_interferogram(arm_signal, arm_shaped, config.tau_ftsi_fs * 1e-15,
+                                         config.extra_phase(pulse)), head
+
+
+class _Reference(NamedTuple):
+    """The reference gram of fig3/fig5 as its table and the subtraction need it."""
+
+    intensity: Cells  # the table's column, formatted once per process
+    delay_hint: float
+    phase: ftsi.RetrievedPhase  # arrays read-only, on a grid whose `omegas` is never computed
+
+    @property
+    def grid(self) -> SpectralGrid:
+        return self.phase.grid
+
+
+# The fields the reference gram never reads, at their defaults: its key resets them, so any
+# other field, one added later included, is part of the key and can cause a miss, never a
+# wrong hit.
+_NOT_REFERENCE = {f.name: f.default for f in dataclasses.fields(RunConfig)
+                  if f.name in ("mode", "material", "material_b", "thickness_um", "outdir")}
+
+
+@lru_cache(maxsize=1)
+def _reference(key: RunConfig) -> _Reference:
+    """The pulse's interferogram with itself: neither the mode nor the plate enters it, so
+    every phase figure of the process with the same `key` shares it.  Errors are not kept."""
+    pulse = key.pulse()
+    gram = ftsi.synthesize_interferogram(pulse, pulse, key.tau_ftsi_fs * 1e-15,
+                                         key.extra_phase(pulse))
+    del pulse  # it dies before the retrieval
+    rp = ftsi.retrieve_phase(gram, key.window())
+    for array in (rp.phase, rp.weight, rp.masked):
+        array.setflags(write=False)
+    return _Reference(format_cells(gram.intensity), gram.delay_hint,
+                      ftsi.RetrievedPhase(key.grid(), rp.phase, rp.weight, rp.masked))
 
 
 def _phase_pipeline(config: RunConfig, tag: str, outdir):
-    gram_with, gram_ref, head = _interferograms(config)
+    gram_with, head = _device_gram(config)
     omega0 = config.omega0
-    window = config.window()
-    diff = ftsi.relative_phase(ftsi.retrieve_phase(gram_with, window),
-                               ftsi.retrieve_phase(gram_ref, window))
+    phase_with = ftsi.retrieve_phase(gram_with, config.window())  # its errors come first
+    ref = _reference(dataclasses.replace(config, **_NOT_REFERENCE))
+    diff = ftsi.relative_phase(phase_with, ref.phase)
+    del phase_with  # it dies before the tables are written
 
     paths = [os.path.join(outdir, f"{tag}_{name}.csv") for name in
              ("interferogram_with_bsb", "interferogram_without_bsb", "retrieved_phase")]
     ftsi.write_interferogram_csv(gram_with, paths[0], head)
-    ftsi.write_interferogram_csv(gram_ref, paths[1], head)
+    ftsi.write_interferogram_csv(ref, paths[1], head)
     ftsi.write_phase_csv(diff, paths[2], head)
 
     if config.mode == "envelope-half":

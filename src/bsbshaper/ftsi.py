@@ -236,7 +236,8 @@ def detect_phase_jump(rp: RetrievedPhase, omega0: float) -> JumpReport:
 
 
 def write_interferogram_csv(gram: Interferogram, path, header_lines=()):
-    """The interferogram table, after the caller's comment lines."""
+    """The interferogram table, after the caller's comment lines.  `gram` may hold its
+    intensity as `io.Cells`, formatted ahead, in place of the array."""
     write_grid_table(path, gram.grid, [*header_lines, meta_line("delay_hint", gram.delay_hint)],
                      ["intensity"], [gram.intensity])
 

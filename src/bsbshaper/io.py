@@ -189,11 +189,15 @@ def _shortest(bits):
     d = np.where(short, sp + wp_in,
                  (s4 >> _U(2)) + (w_in & half_up | u_out & (w_in | half_up)))
     k += short
-    for n in (16, 8, 4, 2, 1):  # strip the trailing zeros
-        q = d // t.pow10[n]
-        zeros = q * t.pow10[n] == d
-        d = np.where(zeros, q, d)
-        k += zeros * n
+    # the few cells with a trailing zero (a uint64 remainder costs twice this test)
+    at = np.flatnonzero(d // _U(10) * _U(10) == d)
+    z, kz = d[at], k[at]
+    for n in (16, 8, 4, 2, 1):  # strip them
+        q = z // t.pow10[n]
+        zeros = q * t.pow10[n] == z
+        z = np.where(zeros, q, z)
+        kz += zeros * n
+    d[at], k[at] = z, kz
     return d, k
 
 
@@ -209,13 +213,17 @@ def _digit_words(d):
     """Each d < 10^20's 20 decimal digits as byte values, most significant first, in bytes
     4..23 of its cell's 3 words, each word an array."""
     quads = _tables().quads
+
+    def quad(v):  # `take` by int64 indices, about three times as fast as indexing by uint64
+        return quads.take(v.view(np.int64)).astype(_U)
+
     top = d // _U(10**16)
     d = d - top * _U(10**16)
     hi = d // _U(10**8)
     lo = d - hi * _U(10**8)
     a, b = hi // _U(10**4), lo // _U(10**4)
-    return (quads[top].astype(_U) << _32, quads[a] | quads[hi - a * _U(10**4)].astype(_U) << _32,
-            quads[b] | quads[lo - b * _U(10**4)].astype(_U) << _32)
+    return (quad(top) << _32, quad(a) | quad(hi - a * _U(10**4)) << _32,
+            quad(b) | quad(lo - b * _U(10**4)) << _32)
 
 
 def _float_cells(x) -> np.ndarray:

@@ -1,11 +1,13 @@
+import dataclasses
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from bsbshaper import dispersion, figures, shaper
+from bsbshaper import dispersion, figures, ftsi, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
+from bsbshaper.errors import SidebandOverlapError
 from conftest import peak_above_start
 
 
@@ -174,9 +176,12 @@ def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
 
 
 # Working set of a warm figure run, in complex arrays of n_samples (16 n bytes).  From 2^14 on
-# numpy reuses complex temporaries in place, as at 2^16 and 2^20.  Measured 8.1 (fig2/fig4) and
-# 8.6 (fig3/fig5); holding the pulse, the transfer pair and every response or arm to the end of
-# the run reads 11.4 and 18.2.
+# numpy reuses complex temporaries in place, as at 2^16 and 2^20.  Measured 8.28 (fig2/fig4)
+# and 8.08 (fig3/fig5, whose reference gram is cached); holding the pulse, the transfer pair
+# and every response or arm to the end of the run reads 11.4 and 18.2.  A fig3/fig5 run that
+# builds the reference, every other cache warm, measures 9.95: the writer's block (5.4) over
+# the entry it keeps (2.44), the device's gram and the phase difference; keeping the
+# reference's pulse through its retrieval reads 10.83.
 WORKING_SET_SAMPLES = 2**14
 WORKING_SET_BOUND = 10
 
@@ -187,3 +192,95 @@ def test_figure_working_set_is_bounded(tmp_path, figure):
     figures.run_figure_pipeline(config, figure)  # fills the caches, which the bound leaves out
     peak = peak_above_start(lambda: figures.run_figure_pipeline(config, figure))
     assert peak / (16 * WORKING_SET_SAMPLES) <= WORKING_SET_BOUND
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig5"])
+def test_figure_working_set_that_builds_the_reference_is_bounded(tmp_path, figure):
+    config = RunConfig(n_samples=WORKING_SET_SAMPLES, outdir=str(tmp_path))
+    figures.run_figure_pipeline(config, figure)
+
+    def cold_reference():
+        figures._reference.cache_clear()
+        figures.run_figure_pipeline(config, figure)
+
+    assert peak_above_start(cold_reference) / (16 * WORKING_SET_SAMPLES) <= WORKING_SET_BOUND
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls to each named `ftsi` function from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(ftsi, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ftsi, name, counting)
+    return calls
+
+
+def test_phase_figures_of_a_process_share_one_reference(tmp_path, monkeypatch):
+    figures._reference.cache_clear()
+    calls = _counted(monkeypatch, "retrieve_phase", "synthesize_interferogram")
+    config = RunConfig(outdir=str(tmp_path))
+    for figure in ("fig3", "fig5"):
+        figures.run_figure_pipeline(config, figure)
+    assert calls == {"retrieve_phase": 3, "synthesize_interferogram": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    figures.run_figure_pipeline(config, "fig3")
+    assert calls == {"retrieve_phase": 1, "synthesize_interferogram": 1}
+
+
+# 2048 samples, the fewest at which the 1 ps delay has 4 samples per fringe; from 180 THz,
+# inside KDP's Sellmeier range
+_REFERENCE_CHANGES = [  # (one field changed, whether the reference is shared)
+    *(({"mode": "envelope-half"}, True), ({"material": "kdp"}, True),
+      ({"thickness_um": 30.0}, True), ({"outdir": "sub"}, True)),
+    *((change, False) for change in (
+        {"tau_ftsi_fs": 900.0}, {"extra_phase_gdd_fs2": 100.0}, {"window_width_fs": 300.0},
+        {"window_order": 8}, {"fwhm_thz": 90.0}, {"carrier_nm": 810.0},
+        {"n_samples": 4096}, {"nu_start_thz": 190.0})),
+]
+
+
+@pytest.mark.parametrize("change,shared", _REFERENCE_CHANGES,
+                         ids=[next(iter(change)) for change, _ in _REFERENCE_CHANGES])
+def test_reference_is_shared_unless_a_field_it_reads_changes(tmp_path, change, shared):
+    (tmp_path / "sub").mkdir()
+    base = RunConfig(n_samples=2048, nu_start_thz=180.0, outdir=str(tmp_path))
+    if "outdir" in change:
+        change = {"outdir": str(tmp_path / "sub")}
+    figures._reference.cache_clear()
+    figures.run_figure_pipeline(base, "fig3")
+    figure = "fig5" if "mode" in change else "fig3"  # a figure fixes its mode
+    figures.run_figure_pipeline(dataclasses.replace(base, **change), figure)
+    assert figures._reference.cache_info().misses == (1 if shared else 2)
+
+
+def test_cached_reference_arrays_are_read_only(tmp_path):
+    figures._reference.cache_clear()
+    figures.run_figure_pipeline(RunConfig(outdir=str(tmp_path)), "fig3")
+    ref = figures._reference(RunConfig())  # the key resets outdir to its default
+    assert figures._reference.cache_info().hits == 1
+    for array in (ref.intensity.cells, ref.phase.phase, ref.phase.weight, ref.phase.masked):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_reference_that_raises_is_not_kept():
+    figures._reference.cache_clear()
+    key = RunConfig(window_width_fs=900.0)  # reaches into the baseband at the 1 ps delay
+    for _ in range(2):
+        with pytest.raises(SidebandOverlapError):
+            figures._reference(key)
+    assert figures._reference.cache_info().currsize == 0
+
+
+def test_the_device_retrieval_raises_before_the_reference_is_built(tmp_path):
+    config = RunConfig(window_width_fs=900.0, outdir=str(tmp_path))  # both grams leak, unequally
+    figures._reference.cache_clear()
+    with pytest.raises(SidebandOverlapError) as device:
+        ftsi.retrieve_phase(figures._device_gram(config)[0], config.window())
+    with pytest.raises(SidebandOverlapError) as raised:
+        figures.run_figure_pipeline(config, "fig3")
+    assert str(raised.value) == str(device.value)
+    assert figures._reference.cache_info().misses == 0

@@ -497,6 +497,17 @@ def _ulp_neighbours(x):
     return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
 
 
+def _significant_digits(v: float) -> int:
+    return len(repr(v).split("e")[0].replace(".", "").strip("0"))
+
+
+# Schubfach's digits have at most 17 digits before their trailing zeros are stripped, and 16
+# or 17 (15 or 16 one digit shorter) for a normal float: so a 17-digit repr had no trailing
+# zero to strip, and a normal float of at most 14 digits had at least one.
+_NORMAL_BITS = np.random.default_rng(4).integers(2**52, 0x7FF << 52, 20000, dtype=np.uint64)
+_UNSTRIPPED = [v for v in _NORMAL_BITS.view(np.float64).tolist() if _significant_digits(v) == 17]
+_STRIPPED_DIGITS = np.random.default_rng(5).integers(1, 15, 6144)
+
 _BOUNDARIES = {
     "powers of two": _ulp_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
     "powers of ten": _ulp_neighbours(np.array([float(f"1e{e}") for e in range(-323, 309)])),
@@ -510,6 +521,12 @@ _BOUNDARIES = {
     "layout edges": np.append(_ulp_neighbours(np.array([1e16, 1e-4, 1e-5, 9999999999999998.0,
                                                         0.0, 5e-324, 1e22, 1.5e-300])),
                               [1.7976931348623157e308, np.inf, np.nan]),
+    # full kernel blocks (BLOCK_CELLS cells, x and -x) where no cell, or every cell, has a
+    # trailing zero before the strip
+    "no trailing zero": np.array(_UNSTRIPPED[:6144]),
+    "all trailing zeros": np.array([float(f"{m}e{e}") for m, e in zip(
+        np.random.default_rng(6).integers(10 ** (_STRIPPED_DIGITS - 1), 10**_STRIPPED_DIGITS),
+        np.random.default_rng(7).integers(-290, 290, 6144))]),
 }
 
 
