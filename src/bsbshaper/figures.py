@@ -40,13 +40,13 @@ _write_csv = write_grid_table
 
 
 def _setup(config: RunConfig):
-    """(pulse, design, transfer pair, header lines) of a figure run."""
+    """(pulse, design, its compensator, transfer pair, header lines) of a figure run."""
     design = _canonical_design(config)
     comp = Compensator(*design.segments[0])
     pulse = config.pulse()
     head = [config_header(config), f"# compensator: {comp.material.name} "
             f"{comp.thickness * 1e6!r} um, mode {config.mode}\n"]
-    return pulse, design, shaper.transfer_exact(comp, pulse.grid), head
+    return pulse, design, comp, shaper.transfer_exact(comp, pulse.grid), head
 
 
 def _ratio_tables(config: RunConfig):
@@ -54,14 +54,13 @@ def _ratio_tables(config: RunConfig):
 
     The pulse, the transfer pair and every complex response die on return.
     """
-    pulse, design, pair, head = _setup(config)
+    pulse, design, comp, pair, head = _setup(config)
     grid, mode, omega0 = pulse.grid, config.mode, config.omega0
-    slope = design.achieved_delay / 2  # delta_k'(omega0) L/2, from the design's carrier query
-    # before the response, so that zero thickness fails on its constant, not on the ratio
-    objective = np.abs(shaper.objective(grid, mode, abs(slope), omega0).values)
+    # delta_k'(omega0) L/2 first, so that zero thickness fails on it, not on the ratio
+    t_const = abs(design.achieved_delay / 2)
+    objective = np.abs(shaper.objective(grid, mode, t_const, omega0).values)
     resp = shaper.effective_response(pair, mode)
-    first = np.abs(shaper.linear_response(grid, mode, omega0, slope,
-                                          design.achieved_omega1).values)
+    first = np.abs(shaper.first_order_response(comp, grid, mode, omega0).values)
     unshaped, shaped = shaper.channels(pair, mode)
     power = np.abs(pulse.amplitude) ** 2
     return grid, head, {
@@ -86,7 +85,7 @@ def _arms(config: RunConfig):
 
     The transfer pair and the common phase factor die on return.
     """
-    pulse, _, pair, head = _setup(config)
+    pulse, _, _, pair, head = _setup(config)
     signal, shaped = shaper.channels(pair, config.mode)
     common = np.exp(1j * pair.common_phase)
     return (pulse, apply_transfer(pulse, signal * common), apply_transfer(pulse, -shaped * common),

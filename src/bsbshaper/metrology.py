@@ -11,7 +11,6 @@ response zero to a chosen frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .pulsefield import SpectralField, common_grid
 from .shaper import Compensator
 
 ACHROMAT_MAX_CONDITION = 1e8
-ACHROMAT_SYSTEMS = 8  # (mat_a, mat_b, omega0) systems kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -122,48 +120,41 @@ def thickness_for_order(material: Material, omega0: float, order: float) -> Desi
     return plate_design(c, 2 * order * np.pi / dk)
 
 
-@lru_cache(maxsize=ACHROMAT_SYSTEMS)
-def _achromat_system(mat_a: Material, mat_b: Material, omega0: float):
-    """Read-only (delta_k', delta_k, system matrix) of the pair at omega0, and its condition number.
-
-    Cached per (mat_a, mat_b, omega0); a degenerate pair raises on every call,
-    because an exception is not cached.  The entries are floats whatever the
-    type of omega0, so callers pass float(omega0) and any scalar shares its entry.
-    """
-    contrasts = [dispersion.contrast(m, omega0) for m in (mat_a, mat_b)]
-    dkp = np.array([float(c.delta_k_prime) for c in contrasts])
-    # second row scaled by 1/omega0 so both rows share units before conditioning
-    dk = np.array([float(c.delta_k) for c in contrasts])
-    system = np.vstack([dkp, dk / omega0])
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond > ACHROMAT_MAX_CONDITION:
-        raise DegenerateMaterialError(
-            f"material pair ({mat_a.name!r}, {mat_b.name!r}) is degenerate for the "
-            f"achromat system (condition number {cond:.3g})"
-        )
-    for table in (dkp, dk, system):
-        table.setflags(write=False)
-    return dkp, dk, system, float(cond)
-
-
 def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
                     target_omega1: float, target_tau: float) -> DesignSolution:
     """Two-material stack with prescribed delay and linearization zero.
 
     Solves sum_i delta_k'_i L_i = tau and sum_i delta_k_i L_i = (omega0 -
-    target_omega1) tau for the signed thicknesses; negative thickness means
-    crossed axes.  Each segment obeys the Compensator thickness bound.
+    target_omega1) tau for the signed thicknesses by Cramer's rule, the second row
+    scaled by 1/omega0 so that both share units; negative thickness means crossed
+    axes.  Each segment obeys the Compensator thickness bound.  The singular values
+    of [[a, b], [c, d]] obey s1^2 + s2^2 = F, the sum of the squared entries, and
+    s1 s2 = |det|, so the condition number s1/s2 = s1^2/|det| is
+    (F + sqrt(F^2 - 4 det^2)) / (2 |det|), infinite where det = 0.
     """
     if not np.isfinite(target_tau):
         raise ValueError("target_tau must be finite")
-    dkp, dk, system, cond = _achromat_system(mat_a, mat_b, float(omega0))
-    rhs = np.array([target_tau, (omega0 - target_omega1) * target_tau / omega0])
-    lengths = np.linalg.solve(system, rhs)
-    segments = tuple(Compensator(m, float(length)).segments[0]
-                     for m, length in zip((mat_a, mat_b), lengths))
+    omega0 = float(omega0)
+    con_a, con_b = (dispersion.contrast(m, omega0) for m in (mat_a, mat_b))
+    a, b = float(con_a.delta_k_prime), float(con_b.delta_k_prime)  # the delay row
+    dk_a, dk_b = float(con_a.delta_k), float(con_b.delta_k)
+    c, d = dk_a / omega0, dk_b / omega0  # the order row
+    det = a * d - b * c
+    f = a * a + b * b + c * c + d * d
+    cond = (f + max(f * f - 4 * det * det, 0.0) ** 0.5) / (2 * abs(det)) if det else np.inf
+    if not cond <= ACHROMAT_MAX_CONDITION:  # NaN and infinity fail too
+        raise DegenerateMaterialError(
+            f"material pair ({mat_a.name!r}, {mat_b.name!r}) is degenerate for the "
+            f"achromat system (condition number {cond:.3g})"
+        )
+    rhs = (omega0 - target_omega1) * target_tau / omega0  # the order row's; the delay row's is tau
+    length_a = (target_tau * d - b * rhs) / det
+    length_b = (a * rhs - c * target_tau) / det
+    segments = (Compensator(mat_a, length_a).segments[0],
+                Compensator(mat_b, length_b).segments[0])
 
-    total_dkp = float(dkp @ lengths)
-    total_dk = float(dk @ lengths)
+    total_dkp = a * length_a + b * length_b
+    total_dk = dk_a * length_a + dk_b * length_b
     if total_dkp == 0.0:
         raise DegenerateMaterialError("achromat stack has zero net group-delay contrast")
     w1 = omega0 - total_dk / total_dkp

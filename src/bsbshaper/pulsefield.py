@@ -182,11 +182,15 @@ def gaussian_pulse(grid: SpectralGrid, omega0: float, fwhm_intensity: float) -> 
         raise ValueError("fwhm_intensity must be positive")
     w = grid.omegas
     amp = np.exp(-2 * _LN2 * ((w - omega0) / fwhm_intensity) ** 2).astype(complex)
+    energy = np.sum(np.abs(amp) ** 2) * grid.omega_step
+    if not energy > 0:
+        raise ValueError(f"fwhm_intensity {fwhm_intensity:.3g} rad/s puts no energy on a grid "
+                         f"of step {grid.omega_step:.3g} rad/s")
     leak = edge_leak_fraction(amp)
     if leak > EDGE_LEAK_FRACTION:
         raise SupportLeakError(f"gaussian_pulse: edge-energy fraction {leak:.3g} exceeds "
                                f"{EDGE_LEAK_FRACTION:.0e}; enlarge the grid span")
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.omega_step)
+    amp /= np.sqrt(energy)
     return SpectralField(grid, amp, omega0)
 
 

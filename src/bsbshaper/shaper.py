@@ -187,19 +187,14 @@ def objective(grid: SpectralGrid, mode: str, t_const: float, omega0: float) -> T
 
 def first_order_response(comp: Compensator, grid: SpectralGrid, mode: str,
                          omega0: float) -> TransferFunction:
-    """Linearized response of a compensator around omega0 (linear_response)."""
-    c = dispersion.contrast(comp.material, omega0)
-    return linear_response(grid, mode, omega0, c.delta_k_prime * comp.thickness / 2, c.omega1)
-
-
-def linear_response(grid: SpectralGrid, mode: str, omega0: float, slope: float,
-                    omega1: float) -> TransferFunction:
-    """Linearized response of slope delta_k'(omega0) L/2 around omega0.
+    """Linearized response of a compensator around omega0, of slope delta_k'(omega0) L/2.
 
     field: -i (omega - omega1) slope, with omega1 the zero crossing of the
     linearized birefringence; envelope modes: the same slope anchored at omega0
     instead.
     """
+    c = dispersion.contrast(comp.material, omega0)
+    slope, omega1 = c.delta_k_prime * comp.thickness / 2, c.omega1
     _exchanged(mode)  # rejects an unknown mode
     w_zero = omega1 if mode == "field" else omega0
     return TransferFunction(grid, -1j * (grid.omegas - w_zero) * slope)

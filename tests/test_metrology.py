@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -127,12 +128,20 @@ def test_achromat_rejects_degenerate_pair(quartz):
                 achromat_design(mat, mat, OMEGA0_800, 0.0, 0.17e-15)
 
 
-def test_achromat_system_is_cached_and_read_only(quartz, kdp):
-    system = metrology._achromat_system(quartz, kdp, OMEGA0_800)
-    assert metrology._achromat_system(quartz, kdp, OMEGA0_800) is system
-    for table in system[:3]:
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 0.0
+@pytest.mark.parametrize("name_a, name_b",
+                         list(itertools.permutations(sorted(dispersion.load_materials()), 2)))
+def test_achromat_closed_form_matches_linear_algebra(name_a, name_b):
+    mat_a, mat_b = dispersion.get_material(name_a), dispersion.get_material(name_b)
+    contrasts = [dispersion.contrast(m, OMEGA0_800) for m in (mat_a, mat_b)]
+    system = np.array([[float(c.delta_k_prime) for c in contrasts],
+                       [float(c.delta_k) / OMEGA0_800 for c in contrasts]])
+    cond = np.linalg.cond(system)
+    for target in np.linspace(-0.2, 0.2, 401) * OMEGA0_800:
+        sol = achromat_design(mat_a, mat_b, OMEGA0_800, target, 0.17e-15)
+        want = np.linalg.solve(system, [0.17e-15, (OMEGA0_800 - target) * 0.17e-15 / OMEGA0_800])
+        np.testing.assert_allclose([length for _, length in sol.segments], want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        assert sol.residuals["condition_number"] == pytest.approx(cond, rel=1e-12)
 
 
 @pytest.mark.parametrize("omega0", [np.float64(OMEGA0_800), np.asarray(OMEGA0_800)],
@@ -191,9 +200,8 @@ def test_sellmeier_evaluations_per_call(quartz, kdp, pulse100, monkeypatch):
                         lambda model, wl: calls.append(model) or index(model, wl))
 
     def count(fn, *args):
-        """(cold, warm): evaluations with the carrier and achromat caches cleared, then again."""
+        """(cold, warm): evaluations with the carrier cache cleared, then again."""
         dispersion._carrier_contrast.cache_clear()
-        metrology._achromat_system.cache_clear()
         counts = []
         for _ in range(2):
             calls.clear()
@@ -292,6 +300,6 @@ def test_objective_weight_is_the_objective(grid, mode):
 def test_plate_design_gives_the_first_order_response(quartz, grid, mode, um):
     design = metrology.plate_design(dispersion.contrast(quartz, OMEGA0_800), um * 1e-6)
     first = shaper.first_order_response(Compensator(quartz, um * 1e-6), grid, mode, OMEGA0_800)
-    linear = shaper.linear_response(grid, mode, OMEGA0_800, design.achieved_delay / 2,
-                                    design.achieved_omega1)
-    np.testing.assert_array_equal(linear.values, first.values)
+    w_zero = design.achieved_omega1 if mode == "field" else OMEGA0_800
+    np.testing.assert_array_equal(
+        -1j * (grid.omegas - w_zero) * (design.achieved_delay / 2), first.values)

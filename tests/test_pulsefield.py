@@ -1,3 +1,4 @@
+import warnings
 import weakref
 from dataclasses import astuple
 
@@ -209,6 +210,15 @@ def test_field_rejects_non_finite_samples(pulse100, bad):
 def test_gaussian_pulse_rejects_a_width_that_is_not_positive(grid, fwhm):
     with pytest.raises(ValueError, match="fwhm_intensity must be positive"):
         gaussian_pulse(grid, OMEGA0_800, fwhm)
+
+
+def test_gaussian_pulse_rejects_a_width_that_puts_no_energy_on_the_grid():
+    grid = default_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^fwhm_intensity 6\.28e\+03 rad/s puts no energy "
+                           r"on a grid of step 6\.9e\+11 rad/s$"):
+            gaussian_pulse(grid, OMEGA0_800, 2 * np.pi * 1e3)
 
 
 def _flat_phase(grid):
