@@ -11,17 +11,17 @@ arguments (rad/s) unless noted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 from numbers import Real
 
 import numpy as np
 import yaml
 
+from ._cache import cached
 from .errors import DegenerateMaterialError, WavelengthRangeError
 
 C_LIGHT = 299792458.0  # m/s
-CARRIER_CONTRASTS = 64  # scalar (material, omega) queries kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,10 @@ def _evaluate(material: Material, omega) -> Contrast:
                     refractive_index(material.extraordinary, wl))
 
 
-@lru_cache(maxsize=CARRIER_CONTRASTS, typed=True)
+@cached
 def _carrier_contrast(material: Material, omega: float) -> Contrast:
-    """The Contrast at a scalar omega, kept per (material, omega, type(omega)).
-
-    Its group indices are evaluated before it is shared, so no caller mutates
-    it.  An omega outside the validity window raises on every call, because an
-    exception is not cached.
-    """
+    """The Contrast at a scalar omega.  Its group indices are evaluated before it is shared, so
+    no caller mutates it."""
     c = _evaluate(material, omega)
     c.n_g_o, c.n_g_e  # fills both cached properties now
     return c
@@ -197,14 +193,14 @@ def load_materials() -> dict[str, Material]:
     return materials
 
 
-_cache: dict[str, Material] = {}
+_materials: dict[str, Material] = {}
 
 
 def get_material(name: str) -> Material:
-    """Bundled material by name (cached); raises KeyError with the known names."""
-    if not _cache:
-        _cache.update(load_materials())
+    """Bundled material by name (loaded once); raises KeyError with the known names."""
+    if not _materials:
+        _materials.update(load_materials())
     try:
-        return _cache[name]
+        return _materials[name]
     except KeyError:
-        raise KeyError(f"unknown material {name!r}; available: {sorted(_cache)}") from None
+        raise KeyError(f"unknown material {name!r}; available: {sorted(_materials)}") from None

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dispersion, ftsi, metrology, shaper
+from ._cache import cached
 from .config import RunConfig, config_header, validate_config
 from .errors import ConfigError
 from .io import Cells, format_cells
@@ -105,7 +105,7 @@ class _Reference(NamedTuple):
 
     intensity: Cells  # the table's column, formatted once per process
     delay_hint: float
-    phase: ftsi.RetrievedPhase  # arrays read-only, on a grid whose `omegas` is never computed
+    phase: ftsi.RetrievedPhase  # on a grid whose `omegas` is never computed
 
     @property
     def grid(self) -> SpectralGrid:
@@ -119,17 +119,15 @@ _NOT_REFERENCE = {f.name: f.default for f in dataclasses.fields(RunConfig)
                   if f.name in ("mode", "material", "material_b", "thickness_um", "outdir")}
 
 
-@lru_cache(maxsize=1)
+@cached
 def _reference(key: RunConfig) -> _Reference:
     """The pulse's interferogram with itself: neither the mode nor the plate enters it, so
-    every phase figure of the process with the same `key` shares it.  Errors are not kept."""
+    every phase figure of the process with the same `key` shares it."""
     pulse = key.pulse()
     gram = ftsi.synthesize_interferogram(pulse, pulse, key.tau_ftsi_fs * 1e-15,
                                          key.extra_phase(pulse))
     del pulse  # it dies before the retrieval
     rp = ftsi.retrieve_phase(gram, key.window())
-    for array in (rp.phase, rp.weight, rp.masked):
-        array.setflags(write=False)
     return _Reference(format_cells(gram.intensity), gram.delay_hint,
                       ftsi.RetrievedPhase(key.grid(), rp.phase, rp.weight, rp.masked))
 

@@ -274,7 +274,7 @@ def _float_cells(x) -> np.ndarray:
 class Cells(NamedTuple):
     """A float column formatted ahead of the tables that write it (`format_cells`)."""
 
-    cells: np.ndarray  # one read-only byte row per value, NUL-padded to the longest cell
+    cells: np.ndarray  # one byte row per value, NUL-padded to the longest cell
 
 
 def format_cells(column) -> Cells:
@@ -283,9 +283,7 @@ def format_cells(column) -> Cells:
     cells = np.empty((len(x), _WIDTH), np.uint8)
     for i in range(0, len(x), BLOCK_CELLS):
         cells[i:i + BLOCK_CELLS] = _float_cells(x[i:i + BLOCK_CELLS])
-    cells = cells[:, :np.count_nonzero(cells.any(axis=0))].copy()  # a cell's NULs trail it
-    cells.setflags(write=False)
-    return Cells(cells)
+    return Cells(cells[:, :np.count_nonzero(cells.any(axis=0))].copy())  # a cell's NULs trail it
 
 
 def _checked_columns(names, columns) -> tuple[list, int]:

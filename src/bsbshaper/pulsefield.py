@@ -9,11 +9,12 @@ is -i omega T.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from ._cache import cached
 from .errors import BsbShaperError, GridMismatchError, SupportLeakError
 from .io import Cells, format_cells, meta_line, meta_values, read_table, write_table
 
@@ -66,10 +67,9 @@ class SpectralGrid:
         return a
 
 
-@lru_cache(maxsize=8, typed=True)  # grids whose cells are kept, least recently used dropped
+@cached
 def _frequency_cells(*fields) -> Cells:
-    """The frequency cells of `SpectralGrid(*fields)`, keyed by its fields and their types (int
-    fields give int64 `omegas`), so that no grid, nor its `omegas` array, is kept."""
+    """The frequency cells of `SpectralGrid(*fields)`; int fields give int64 `omegas`."""
     return format_cells(SpectralGrid(*fields).omegas)
 
 
@@ -233,21 +233,17 @@ class _Chirps(NamedTuple):
     frequency_post: np.ndarray  # to_frequency: exp(i omega t_start), after it
 
 
-@lru_cache(maxsize=1, typed=True)  # the last grid's chirps
+@cached
 def _chirps(n_samples, omega_start, omega_step, t_step, t_start) -> _Chirps:
-    """The grid-only factors of `to_time` and `to_frequency`, each read-only, for the grid of
-    these fields and a trace sampled at `t_start + t_step * k`, keyed by the fields (so that no
-    grid, nor its `omegas` array, is kept) and by the trace's step and start."""
+    """The grid-only factors of `to_time` and `to_frequency` for the grid of these fields and a
+    trace sampled at `t_start + t_step * k`."""
     grid = SpectralGrid(n_samples, omega_start, omega_step)
     k = np.arange(n_samples)
     t = t_start + t_step * k
-    chirps = _Chirps(np.exp(-1j * k * omega_step * t_start),
-                     omega_step / (2 * np.pi) * np.exp(-1j * omega_start * t),
-                     np.exp(1j * omega_start * k * t_step),
-                     np.exp(1j * grid.omegas * t_start))
-    for chirp in chirps:
-        chirp.setflags(write=False)
-    return chirps
+    return _Chirps(np.exp(-1j * k * omega_step * t_start),
+                   omega_step / (2 * np.pi) * np.exp(-1j * omega_start * t),
+                   np.exp(1j * omega_start * k * t_step),
+                   np.exp(1j * grid.omegas * t_start))
 
 
 # numpy's NPY_MIN_ELIDE_BYTES: from this size `a * np.exp(z)` reuses the temporary exp(z)

@@ -9,11 +9,11 @@ common propagation phase cancelled analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import dispersion
+from ._cache import cached
 from .dispersion import C_LIGHT, Material
 from .errors import BsbShaperError
 from .pulsefield import SpectralGrid
@@ -23,7 +23,6 @@ MAX_THICKNESS = 10e-3  # m
 MODES = ("field", "envelope-integer", "envelope-half")
 
 DENOMINATOR_FLOOR = 1e-6  # of the band maximum, below which the ratio is masked
-WAVEVECTOR_TABLES = 8  # (material, grid) wavevector tables kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,13 @@ class TransferFunction:
                                                              "transfer function"))
 
 
-@lru_cache(maxsize=WAVEVECTOR_TABLES)
+@cached
 def _wavevectors(material: Material, *fields) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (k_e - k_o, k_e + k_o) [rad/m] on `SpectralGrid(*fields)`, one Sellmeier
-    evaluation per axis; keyed by the grid's fields, so that no grid, nor its `omegas` array,
-    is kept.  A grid outside the validity window raises on every call: errors are not cached."""
+    """(k_e - k_o, k_e + k_o) [rad/m] on `SpectralGrid(*fields)`, one Sellmeier evaluation per
+    axis."""
     omegas = SpectralGrid(*fields).omegas
     c = dispersion.contrast(material, omegas)
-    tables = (c.delta_k, (c.n_e + c.n_o) * omegas / C_LIGHT)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return c.delta_k, (c.n_e + c.n_o) * omegas / C_LIGHT
 
 
 def _half_retardance(segments, grid: SpectralGrid) -> np.ndarray:

@@ -1,9 +1,10 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bsbshaper import dispersion
+from bsbshaper import dispersion, figures, pulsefield, shaper
 from bsbshaper.pulsefield import SpectralField, default_grid, gaussian_pulse
 
 OMEGA0_800 = 2 * np.pi * dispersion.C_LIGHT / 800e-9
@@ -28,6 +29,31 @@ def peak_above_start(run) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def held_after(run) -> int:
+    """Bytes that run() leaves live, after a garbage collection, above what was live when it
+    started (tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+CACHES = (dispersion._carrier_contrast, shaper._wavevectors, pulsefield._frequency_cells,
+          pulsefield._chirps, figures._reference)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsbshaper import dispersion
+from bsbshaper import _cache, dispersion
 from bsbshaper.dispersion import (Material, SellmeierModel, contrast,
                                   get_material, group_index, load_materials,
                                   refractive_index)
 from bsbshaper.errors import DegenerateMaterialError, WavelengthRangeError
 from bsbshaper.pulsefield import default_grid
+from conftest import clear_caches, held_after
 
 
 def test_quartz_indices_at_800nm(quartz):
@@ -154,6 +155,22 @@ def test_carrier_cache_keeps_float_and_float64_apart(quartz):
 def test_cached_contrast_is_complete_before_it_is_shared(quartz):
     dispersion._carrier_contrast.cache_clear()
     assert {"n_g_o", "n_g_e"} <= vars(contrast(quartz, CARRIER)).keys()
+
+
+def test_carrier_contrasts_are_bounded_by_the_budget(quartz, monkeypatch):
+    """Each entry is charged a fixed sum besides its arrays, of which a carrier Contrast has
+    none, so 10^4 carriers (about 6 MB of Contrasts) stay within a budget of 1 MiB."""
+    carriers = (CARRIER * (1 + np.linspace(0, 0.1, 10**4))).tolist()
+    clear_caches()
+    monkeypatch.setattr(_cache, "CACHE_BYTES", 1 << 20)
+
+    def run():
+        for omega in carriers:
+            contrast(quartz, omega)
+
+    assert held_after(run) <= _cache.CACHE_BYTES
+    info = dispersion._carrier_contrast.cache_info()
+    assert (info.misses, info.currsize) == (10**4, _cache.CACHE_BYTES // _cache._ENTRY_BYTES)
 
 
 @pytest.mark.parametrize("omega", [float("nan"), np.float64("nan"),

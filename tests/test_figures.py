@@ -4,11 +4,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from bsbshaper import dispersion, figures, ftsi, shaper
+from bsbshaper import _cache, dispersion, figures, ftsi, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
 from bsbshaper.errors import SidebandOverlapError
-from conftest import peak_above_start
+from conftest import CACHES, clear_caches, peak_above_start
 
 
 def _read_csv(path):
@@ -204,6 +204,38 @@ def test_figure_working_set_that_builds_the_reference_is_bounded(tmp_path, figur
         figures.run_figure_pipeline(config, figure)
 
     assert peak_above_start(cold_reference) / (16 * WORKING_SET_SAMPLES) <= WORKING_SET_BOUND
+
+
+def test_eviction_never_changes_the_bytes(tmp_path, monkeypatch):
+    """fig2-fig5 at 2^14 samples, where numpy reuses temporaries in place, write the same bytes
+    cold, warm, and with a budget of 0, under which every call but a reuse of the entry just
+    added misses."""
+    config = RunConfig(n_samples=2**14, outdir=str(tmp_path))
+    written = {}
+    for run in ("cold", "warm", "no budget"):
+        if run != "warm":
+            clear_caches()
+        if run == "no budget":
+            monkeypatch.setattr(_cache, "CACHE_BYTES", 0)
+        outdir = tmp_path / run  # the header names config.outdir, the same for every run
+        outdir.mkdir()
+        for figure in figures.FIGURES:
+            figures.run_figure_pipeline(config, figure, str(outdir))
+        written[run] = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    assert sum(cache.cache_info().currsize for cache in CACHES) == 1
+    assert len(written["cold"]) == 11
+    assert written["no budget"] == written["cold"] == written["warm"]
+
+
+def test_a_second_figure_pass_at_2_16_samples_misses_no_cache(tmp_path):
+    """The default budget keeps the whole working set of fig2-fig5 at 2^16 samples."""
+    config = RunConfig(n_samples=2**16, outdir=str(tmp_path))
+    for figure in figures.FIGURES:
+        figures.run_figure_pipeline(config, figure)
+    misses = [cache.cache_info().misses for cache in CACHES]
+    for figure in figures.FIGURES:
+        figures.run_figure_pipeline(config, figure)
+    assert [cache.cache_info().misses for cache in CACHES] == misses
 
 
 def _counted(monkeypatch, *names):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsbshaper import cli, figures, ftsi, pulsefield
+from bsbshaper import _cache, cli, figures, ftsi, pulsefield
 from bsbshaper import io as table_io
 from bsbshaper.cli import main
 from bsbshaper.config import RunConfig
@@ -22,7 +22,7 @@ from bsbshaper.errors import GridMismatchError
 from bsbshaper.io import meta_line, read_table, write_table
 from bsbshaper.pulsefield import (SpectralGrid, default_grid, gaussian_pulse, read_field_csv,
                                   read_grid_table, write_field_csv, write_grid_table)
-from conftest import OMEGA0_800, peak_above_start
+from conftest import OMEGA0_800, clear_caches, held_after, peak_above_start
 
 # sha256 of the non-comment lines of every default-config figure output (n = 4096)
 FIGURE_DATA_SHA256 = {
@@ -348,14 +348,26 @@ def test_stream_destination_gets_the_file_bytes(tmp_path, capsys, records):
     assert capsys.readouterr().out == (tmp_path / "transfer.csv").read_text()
 
 
-def test_frequency_cell_cache_stays_within_its_bound(tmp_path):
-    cells, path = pulsefield._frequency_cells, tmp_path / "table.csv"
-    bound = cells.cache_info().maxsize
-    for k in range(bound + 3):
-        grid = SpectralGrid(4, 1.0 + k, 0.5)
-        write_grid_table(path, grid, [], [], [])
-        assert path.read_text().splitlines()[2:] == list(map(repr, grid.omegas.tolist()))
-    assert cells.cache_info().currsize == bound
+def test_frequency_cell_cache_stays_within_its_bound(tmp_path, monkeypatch):
+    """fig2 and fig4 on 8 grids of 2^14 samples leave at most the budget and one entry held.
+
+    Each grid keeps its frequency cells and wavevector tables, 0.53 MB, so a count bound of 8
+    grids holds 4.27 MB here.
+    """
+    figures.run_figure_pipeline(RunConfig(n_samples=2048, outdir=str(tmp_path)), "fig2")
+    clear_caches()  # all that stays from here on is cached
+    monkeypatch.setattr(_cache, "CACHE_BYTES", 1 << 20)
+
+    def run():
+        for k in range(8):
+            config = RunConfig(n_samples=2**14, nu_start_thz=150.0 + k, outdir=str(tmp_path))
+            for figure in ("fig2", "fig4"):
+                figures.run_figure_pipeline(config, figure)
+
+    held = held_after(run)
+    largest = max(entry[2] for entry in _cache._entries.values())
+    assert pulsefield._frequency_cells.cache_info().currsize < 8
+    assert held <= _cache.CACHE_BYTES + largest
 
 
 def test_equal_int_and_float_field_grids_each_write_their_own_grid_line(tmp_path):
