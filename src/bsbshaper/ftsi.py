@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import EmptyMaskError, SidebandOverlapError, UndersampledFringeError
 from .io import meta_line
-from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, common_grid, read_grid_table,
-                         to_frequency, to_time, write_grid_table)
+from .pulsefield import (BAND_INTENSITY_FLOOR, SpectralField, SpectralGrid, TimeTrace,
+                         common_grid, read_grid_table, to_frequency, to_time, write_grid_table)
 
 WEIGHT_MASK_FRACTION = 1e-3
 DEFAULT_WINDOW_ORDER = 6
@@ -87,16 +87,23 @@ def synthesize_interferogram(e_a: SpectralField, e_b: SpectralField, tau_ftsi: f
     """S(omega) = (1/2)|E_a + E_b exp(i(omega tau + extra_phase))|^2.
 
     extra_phase models delay-crystal dispersion beyond the pure delay; the
-    reference-subtraction protocol cancels it.
+    reference-subtraction protocol cancels it.  The fringes at omega have the local delay
+    tau + d(extra_phase)/d(omega), and UndersampledFringeError is raised unless the largest
+    over the band (where |E_a|^2 + |E_b|^2 reaches BAND_INTENSITY_FLOOR of its peak) leaves
+    4 samples per fringe.
     """
     grid = common_grid(e_a, e_b)
-    samples_per_fringe = 2 * np.pi / (tau_ftsi * grid.omega_step) if tau_ftsi > 0 else np.inf
+    psi = np.zeros(grid.n_samples) if extra_phase is None else np.asarray(extra_phase)
+    power = np.abs(e_a.amplitude) ** 2 + np.abs(e_b.amplitude) ** 2
+    delay = np.abs(tau_ftsi + np.gradient(psi, grid.omega_step)[
+        power >= BAND_INTENSITY_FLOOR * power.max()]).max()
+    del power
+    samples_per_fringe = 2 * np.pi / (delay * grid.omega_step) if delay > 0 else np.inf
     if samples_per_fringe < 4:
         raise UndersampledFringeError(
-            f"delay {tau_ftsi:.3g} s gives {samples_per_fringe:.2f} samples per fringe "
+            f"local delay {delay:.3g} s gives {samples_per_fringe:.2f} samples per fringe "
             "(need >= 4)"
         )
-    psi = np.zeros(grid.n_samples) if extra_phase is None else np.asarray(extra_phase)
     total = e_a.amplitude + e_b.amplitude * np.exp(1j * (grid.omegas * tau_ftsi + psi))
     return Interferogram(grid, 0.5 * np.abs(total) ** 2, tau_ftsi)
 

@@ -1,9 +1,14 @@
 """The one table format of every CSV file the package writes or reads.
 
 `#` comment lines (`# key=value` ones are metadata, the rest provenance text),
-one line of comma-separated column names, then one row per sample.  Every float cell is
-made by one vectorised kernel, about BLOCK_CELLS cells at a time whatever the table's
-width.  A float cell holds the shortest decimal digits that read back as the float, the
+one line of comma-separated column names, then one row per sample.  Two vectorised kernels
+make and read the cells, and both take whole rows, max(1, BLOCK_CELLS // k) of them a call,
+where k is the number of columns the kernel handles: the float columns a write formats, or
+every column of a read.  So each call holds at most BLOCK_CELLS cells, and its working set
+(1.1 MB a read call, 1.4 MB a write's block) is bounded whatever the table's length, width
+or row bytes.
+
+A float cell holds the shortest decimal digits that read back as the float, the
 nearest such and ties to even (Schubfach: Giulietti, "The Schubfach way to render
 doubles", 2020), laid out as `repr(float)` lays them out, so its bytes are repr's and it
 reads back exactly.  Only float and boolean columns are written, a boolean cell as 0 or 1.
@@ -13,7 +18,7 @@ writes its Python value, and a key may appear only once.  A column's `Cells`
 (`format_cells`), passed in place of it, are written as they were formatted, so a column that
 many tables share is formatted once.
 
-Every cell is read by another kernel, a chunk of whole lines at a time.  A cell is a
+Every cell is read by the other kernel.  A cell is a
 decimal, [+-](d+[.d*]|.d+)[(e|E)[+-]d+] in ASCII digits, or nan, inf or infinity in any
 case and with an optional sign, with nothing but ASCII whitespace around it, and its
 value is float()'s.  The kernel rounds a decimal of up to 19 significant digits to the
@@ -36,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-BLOCK_CELLS = 6144  # float cells formatted at a time, which bounds the writer's working set
-CHUNK_BYTES = 1 << 16  # bytes of rows parsed at a time, which bounds the reader's working set
+BLOCK_CELLS = 6144  # cells formatted or parsed at a time, which bounds each kernel's working set
 
 _U = np.uint64
 _M32, _32, _64 = _U(0xFFFFFFFF), _U(32), _U(64)
@@ -347,7 +351,7 @@ def _rows(columns, start, stop) -> str:
 def write_table(path, header_lines, names, columns):
     """Write `header_lines`, the column `names`, then one row per sample; a stream stays open.
 
-    Rows go out in blocks of about BLOCK_CELLS float cells, whatever the table's width.
+    Rows go out BLOCK_CELLS // k at a time for k float columns (BLOCK_CELLS with none).
     Raises ValueError when the columns differ in length, or a name is missing or extra, and
     TypeError for a column of other than float or boolean values, before writing.
     """
@@ -577,9 +581,9 @@ def _parse_rows(rows: bytes, width: int, line: int, encoding: str) -> np.ndarray
 
 
 def _blocks(fh):
-    """The rest of `fh`, about CHUNK_BYTES at a time, with universal newlines: a block that
-    ends in \\r takes the \\n after it."""
-    while block := fh.read(CHUNK_BYTES):
+    """The rest of `fh`, with universal newlines: a block that ends in \\r takes the \\n after it.
+    A block is the most that BLOCK_CELLS cells written by `write_table` take."""
+    while block := fh.read(BLOCK_CELLS * (_WIDTH + 1)):
         if block.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
             block += fh.read(1)
         yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
@@ -605,20 +609,20 @@ def _head(path, blocks, encoding: str):
     return metadata, [], n, iter(())
 
 
-def _row_chunks(blocks, line: int):
-    """(buffer, line): the blocks in buffers of whole lines between _HEAD and _END, and the
-    number of each buffer's first line, the first being line `line`."""
-    rest = b""
+def _row_chunks(blocks, rows: int, line: int):
+    """(buffer, line): the blocks in buffers of `rows` whole lines between _HEAD and _END (the
+    last may hold fewer), and the number of each buffer's first line, the first being `line`."""
+    parts, held = [], 0  # the bytes after the last cut, and the newlines in them
     for block in blocks:
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield b"".join((_HEAD, rest, memoryview(block)[:cut], _END)), line
-            line += block.count(b"\n", 0, cut)
-            rest = block[cut:]
-        else:
-            rest += block
-    if rest:
-        yield b"".join((_HEAD, rest, b"\n", _END)), line
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == _NEWLINE) + 1
+        start = 0
+        for cut in ends[rows - 1 - held::rows].tolist():
+            yield b"".join((_HEAD, *parts, memoryview(block)[start:cut], _END)), line
+            parts, start, line = [], cut, line + rows
+        parts.append(memoryview(block)[start:])
+        held = (held + len(ends)) % rows
+    if rest := b"".join(parts):
+        yield b"".join((_HEAD, rest, b"" if rest.endswith(b"\n") else b"\n", _END)), line
 
 
 def read_table(path, required_keys=(),
@@ -646,7 +650,7 @@ def read_table(path, required_keys=(),
         width = len(names)
         try:
             chunks = [_parse_rows(rows, width, first, encoding)
-                      for rows, first in _row_chunks(blocks, line)]
+                      for rows, first in _row_chunks(blocks, max(1, BLOCK_CELLS // width), line)]
         except ValueError as exc:
             raise ValueError(f"{path}: malformed row ({exc})") from None
     return metadata, {name: np.concatenate([c[j::width] for c in chunks]) if chunks else np.empty(0)

@@ -585,6 +585,14 @@ def test_infinite_input_is_rejected_before_any_work(tmp_path, capsys, argv):
     assert _listing(tmp_path) == []
 
 
+def test_figure_with_a_chirp_that_undersamples_the_fringes_exits_1_before_writing(tmp_path,
+                                                                                  capsys):
+    assert main(["figure", "fig3", "--extra-phase-gdd-fs2", "1e12", "--outdir",
+                 str(tmp_path)]) == 1
+    assert "samples per fringe" in capsys.readouterr().err
+    assert _listing(tmp_path) == []
+
+
 def test_overlap_rejects_a_source_with_several_peaks(tmp_path, capsys):
     src = tmp_path / "two_peaks.csv"
     write_field_csv(two_peak_field(default_grid()), src)

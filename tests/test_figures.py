@@ -7,7 +7,7 @@ import pytest
 from bsbshaper import _cache, dispersion, figures, ftsi, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
-from bsbshaper.errors import SidebandOverlapError
+from bsbshaper.errors import SidebandOverlapError, UndersampledFringeError
 from conftest import CACHES, clear_caches, peak_above_start
 
 
@@ -261,8 +261,8 @@ def test_phase_figures_of_a_process_share_one_reference(tmp_path, monkeypatch):
     assert calls == {"retrieve_phase": 1, "synthesize_interferogram": 1}
 
 
-# 2048 samples, the fewest at which the 1 ps delay has 4 samples per fringe; from 180 THz,
-# inside KDP's Sellmeier range
+# 2048 samples over 180-580 THz, inside KDP's Sellmeier range: the fewest at which the default
+# fringes, whose local delay reaches 1.23 ps at the band's edges, have 4 samples each
 _REFERENCE_CHANGES = [  # (one field changed, whether the reference is shared)
     *(({"mode": "envelope-half"}, True), ({"material": "kdp"}, True),
       ({"thickness_um": 30.0}, True), ({"outdir": "sub"}, True)),
@@ -277,7 +277,7 @@ _REFERENCE_CHANGES = [  # (one field changed, whether the reference is shared)
                          ids=[next(iter(change)) for change, _ in _REFERENCE_CHANGES])
 def test_reference_is_shared_unless_a_field_it_reads_changes(tmp_path, change, shared):
     (tmp_path / "sub").mkdir()
-    base = RunConfig(n_samples=2048, nu_start_thz=180.0, outdir=str(tmp_path))
+    base = RunConfig(n_samples=2048, nu_start_thz=180.0, nu_end_thz=580.0, outdir=str(tmp_path))
     if "outdir" in change:
         change = {"outdir": str(tmp_path / "sub")}
     figures._reference.cache_clear()
@@ -316,3 +316,21 @@ def test_the_device_retrieval_raises_before_the_reference_is_built(tmp_path):
         figures.run_figure_pipeline(config, "fig3")
     assert str(raised.value) == str(device.value)
     assert figures._reference.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig5"])
+@pytest.mark.parametrize("gdd", [2e3, 3e3, 5e3, 1e4, 2e4, 3e4, -3e4, 1e5, 1e12])
+def test_chirp_that_undersamples_the_fringes_raises_before_writing(tmp_path, figure, gdd):
+    """At n = 4096 and tau = 1 ps the fringes take 4 samples each up to a local delay of
+    2.28 ps; a GDD of 2e3 fs^2 takes it to 3.29 ps at the band's edges, where the retrieval
+    went wrong without a word."""
+    with pytest.raises(UndersampledFringeError, match="samples per fringe"):
+        figures.run_figure_pipeline(RunConfig(extra_phase_gdd_fs2=gdd, outdir=str(tmp_path)),
+                                    figure)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig5"])
+@pytest.mark.parametrize("gdd", [200.0, 1e3])  # local delays up to 1.229 and 2.145 ps
+def test_chirp_within_the_fringe_limit_runs(tmp_path, figure, gdd):
+    figures.run_figure_pipeline(RunConfig(extra_phase_gdd_fs2=gdd, outdir=str(tmp_path)), figure)

@@ -69,6 +69,23 @@ def test_undersampled_fringes_rejected(pulse100):
         synthesize_interferogram(pulse100, pulse100, 5e-12)
 
 
+@pytest.mark.parametrize("margin,raises", [(0.99, False), (1.01, True)])
+def test_fringes_are_sampled_at_the_largest_local_delay_over_the_band(pulse100, grid, margin,
+                                                                     raises):
+    """A chirp adds GDD (omega - omega0) to the delay; the fringes need 4 samples each where
+    that local delay is largest over the band, not at tau alone."""
+    edge = np.abs(grid.omegas[pulse100.band] - OMEGA0_800).max()
+    limit = np.pi / (2 * grid.omega_step)  # 4 samples per fringe
+    gdd = margin * (limit - TAU) / edge
+    chirp = 0.5 * gdd * (grid.omegas - OMEGA0_800) ** 2
+    assert 2 * np.pi / (TAU * grid.omega_step) > 4  # tau alone passes
+    if raises:
+        with pytest.raises(UndersampledFringeError, match="local delay"):
+            synthesize_interferogram(pulse100, pulse100, TAU, chirp)
+    else:
+        synthesize_interferogram(pulse100, pulse100, TAU, chirp)
+
+
 def test_overwide_window_leaking_baseband_rejected(pulse100):
     gram = synthesize_interferogram(pulse100, pulse100, TAU)
     wide = FtsiWindow(center_time=TAU, width=5 * TAU, order=2)

@@ -169,8 +169,9 @@ def test_malformed_row_names_its_line(tmp_path, body, where):
                          ids=["lf", "crlf", "cr", "crlf-across-the-block-end",
                               "cr-then-crlf-across-the-block-end"])
 def test_malformed_row_past_the_first_block_names_its_line(tmp_path, newline, split):
-    """A # line and a blank line among the rows, then a bad row in the second block."""
-    chunk, row = table_io.CHUNK_BYTES, "1.5,2.25"
+    """A # line and a blank line among the rows, then a bad row in the second block the reader
+    reads, whose size is the most that BLOCK_CELLS cells written by the package take."""
+    chunk, row = table_io.BLOCK_CELLS * (table_io._WIDTH + 1), "1.5,2.25"
     body = newline.join(["# grid=4 1.0 1.0", "a,b", row, "# a comment", "", ""])
     body += (row + newline) * ((chunk - len(body)) // len(row + newline) - 1)
     if split:  # one row padded so that the block's last byte is the first of `split`
@@ -681,6 +682,52 @@ def test_reading_a_table_holds_at_most_nine_float_columns(tmp_path):
                          path)
     ftsi.read_phase_csv(path)  # a cold first read, which builds the reader's tables
     assert peak_above_start(lambda: ftsi.read_phase_csv(path)) / (8 * n) <= 9
+
+
+def _kernel_calls(monkeypatch):
+    """The number of cells each reader kernel call parses, in call order."""
+    calls, parse = [], table_io._parse_cells
+
+    def counting(buf, n):
+        parsed = parse(buf, n)
+        calls.append(len(parsed[0]))
+        return parsed
+
+    monkeypatch.setattr(table_io, "_parse_cells", counting)
+    return calls
+
+
+def test_each_reader_kernel_call_takes_block_cells_of_whole_rows(tmp_path, monkeypatch):
+    """Gram, field and phase tables of 2^16 rows are parsed max(1, BLOCK_CELLS // width) rows
+    a call, as the writer formats them, whatever the bytes of their rows."""
+    n = 2**16
+    pulse = gaussian_pulse(default_grid(n), OMEGA0_800, 2 * np.pi * 100e12)
+    gram = ftsi.synthesize_interferogram(pulse, pulse, 1e-12)
+    paths = [tmp_path / name for name in ("gram.csv", "field.csv", "phase.csv")]
+    ftsi.write_interferogram_csv(gram, paths[0])
+    write_field_csv(pulse, paths[1])
+    ftsi.write_phase_csv(ftsi.retrieve_phase(gram), paths[2])
+    calls = _kernel_calls(monkeypatch)
+    for path in paths:
+        calls.clear()
+        _, data = read_table(path)
+        rows = max(1, table_io.BLOCK_CELLS // len(data))
+        assert len(calls) == math.ceil(n / rows), path.name
+        assert calls == [rows * len(data)] * (len(calls) - 1) + [calls[-1]], path.name
+
+
+def test_no_reader_kernel_call_takes_more_than_block_cells(tmp_path, monkeypatch):
+    """Rows of 24-byte cells, then rows of 1-byte cells: the calls are sized in rows, so the
+    short rows after the long ones crowd no more cells into a call."""
+    wide = "-1.2345678901234567e-308"
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n" + f"{wide},{wide}\n" * 100 + "0,0\n" * 2**16)
+    calls = _kernel_calls(monkeypatch)
+    _, data = read_table(path)
+    assert max(calls) <= table_io.BLOCK_CELLS
+    assert sum(calls) == 2 * (100 + 2**16)
+    for column in data.values():
+        assert column[:100].tolist() == [float(wide)] * 100 and not column[100:].any()
 
 
 def _schubfach_g():
