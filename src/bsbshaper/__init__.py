@@ -8,8 +8,8 @@ from .ftsi import (FtsiWindow, Interferogram, JumpReport, RetrievedPhase,
                    wrap_to_principal)
 from .metrology import (DesignSolution, OverlapReport, achromat_design,
                         band_from_field, mode_overlap, objective_overlap,
-                        score_compensator, stack_overlap, thickness_for_delay,
-                        thickness_for_order)
+                        score_compensator, score_segments, stack_overlap,
+                        thickness_for_delay, thickness_for_order)
 from .pulsefield import (SpectralField, SpectralGrid, TimeTrace, apply_transfer,
                          default_grid, derivative_field_oracle, gaussian_pulse,
                          read_field_csv, replica_difference, to_frequency,

@@ -73,21 +73,14 @@ def _cmd_material_info(args):
 
 
 def _print_design(solution, config: RunConfig):
-    pulse = config.pulse()
-    plate = len(solution.segments) == 1  # efficiency is reported for a single plate only
-    if plate:
-        report = metrology.score_compensator(Compensator(*solution.segments[0]), pulse,
-                                             config.mode)
-        overlap = report.overlap
-    else:
-        overlap = metrology.stack_overlap(solution, pulse, config.mode)
+    report = metrology.score_segments(solution.segments, config.pulse(), config.mode)
     for material, length in solution.segments:
         print(f"segment: {material.name} thickness_um={length * 1e6:.6f}")
     print(f"achieved_delay_fs: {solution.achieved_delay * 1e15:.6f}")
     print(f"achieved_order: {solution.achieved_order:.6f}")
     print(f"omega1_over_omega0: {solution.achieved_omega1 / config.omega0:.6e}")
-    print(f"overlap: {overlap:.8f}")
-    if plate:
+    print(f"overlap: {report.overlap:.8f}")
+    if len(solution.segments) == 1:  # efficiency is reported for a single plate only
         print(f"efficiency: {report.efficiency:.6e}")
     for key, value in solution.residuals.items():
         print(f"residual.{key}: {value!r}")
@@ -117,16 +110,15 @@ def _cmd_design_sweep(args):
     if args.points < 1 or not (0 < args.lmin_um < np.inf and 0 < args.lmax_um < np.inf):
         raise ConfigError("sweep needs --points >= 1 and finite, positive --lmin-um/--lmax-um")
     config = _config_from(args)
-    material = dispersion.get_material(config.material)
+    c = dispersion.contrast(dispersion.get_material(config.material), config.omega0)
     pulse = config.pulse()
     lengths = np.geomspace(args.lmin_um, args.lmax_um, args.points) * 1e-6
-    reports = [metrology.score_compensator(Compensator(material, float(length)), pulse,
-                                           config.mode) for length in lengths]
-    c = dispersion.contrast(material, config.omega0)
+    designs = [metrology.plate_design(c, float(length)) for length in lengths]
+    reports = [metrology.score_segments(d.segments, pulse, config.mode) for d in designs]
     write_table(args.output, [config_header(config)],
                 ["thickness_um", "delay_fs", "order", "overlap", "efficiency"],
-                [lengths * 1e6, c.delta_k_prime * lengths * 1e15,
-                 c.delta_k * lengths / (2 * np.pi),
+                [lengths * 1e6, [d.achieved_delay * 1e15 for d in designs],
+                 [d.achieved_order for d in designs],
                  [r.overlap for r in reports], [r.efficiency for r in reports]])
     print(args.output)
 

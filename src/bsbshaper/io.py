@@ -430,9 +430,6 @@ def _parse_cells(buf: bytes, n: int):
     ev = np.flatnonzero((b[:n] - _ZERO) > _NINE)  # the events: every byte that is no digit
     kind = b.take(ev)
     seps = np.flatnonzero((kind == _COMMA) | (kind == _NEWLINE))  # the event that ends each cell
-    if not seps.size:
-        empty = np.empty(0, np.int64)
-        return np.empty(0), empty, empty, empty, np.empty(0, bool)
     newline = kind.take(seps) == _NEWLINE
     ends = ev.take(seps)
     starts = np.concatenate(([len(_HEAD)], ends[:-1] + 1))
@@ -611,7 +608,9 @@ def _head(path, blocks, encoding: str):
 
 def _row_chunks(blocks, rows: int, line: int):
     """(buffer, line): the blocks in buffers of `rows` whole lines between _HEAD and _END (the
-    last may hold fewer), and the number of each buffer's first line, the first being `line`."""
+    last may hold fewer), and the number of each buffer's first line, the first being `line`.
+    Every buffer holds a line and ends it with \\n before _END, so `_parse_cells` finds a
+    separator in each."""
     parts, held = [], 0  # the bytes after the last cut, and the newlines in them
     for block in blocks:
         ends = np.flatnonzero(np.frombuffer(block, np.uint8) == _NEWLINE) + 1

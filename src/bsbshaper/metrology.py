@@ -72,8 +72,8 @@ def objective_overlap(shaped: SpectralField, source: SpectralField, mode: str):
     return mode_overlap(shaped.amplitude[source.band], objective), band_from_field(source)
 
 
-def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
-    """Objective overlap of a stack's shaped mode s A, and its efficiency.
+def score_segments(segments, fld: SpectralField, mode: str) -> OverlapReport:
+    """Objective overlap of a stack's shaped mode s A, and its efficiency: the one scoring rule.
 
     s is real and drops the common phase, which the signal channel shares; w' is real too, so
     the phase of A drops out as well and the modes are scored as s |A| and w' |A|.
@@ -85,13 +85,16 @@ def _score(segments, fld: SpectralField, mode: str) -> OverlapReport:
 
 def score_compensator(comp: Compensator, fld: SpectralField, mode: str) -> OverlapReport:
     """Objective overlap of the exact shaped mode, plus channel efficiency."""
-    return _score(comp.segments, fld, mode)
+    return score_segments(comp.segments, fld, mode)
 
 
 def plate_design(c: dispersion.Contrast, length: float) -> DesignSolution:
-    """Delay, order and omega1 at the carrier c.omega of a plate of signed thickness `length`."""
+    """Delay, order and omega1 at the carrier c.omega of a plate of signed thickness `length`.
+
+    The plate obeys the Compensator thickness bound, so every plate solver checks its plate.
+    """
     return DesignSolution(
-        segments=((c.material, length),),
+        segments=Compensator(c.material, length).segments,
         achieved_delay=float(c.delta_k_prime) * length,
         achieved_order=float(c.delta_k) * length / (2 * np.pi),
         achieved_omega1=c.omega1,
@@ -174,4 +177,4 @@ def achromat_design(mat_a: Material, mat_b: Material, omega0: float,
 
 def stack_overlap(solution: DesignSolution, fld: SpectralField, mode: str = "field") -> float:
     """Overlap of a (possibly multi-segment) stack's exact shaped mode with its objective."""
-    return _score(solution.segments, fld, mode).overlap
+    return score_segments(solution.segments, fld, mode).overlap

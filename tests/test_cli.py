@@ -74,6 +74,15 @@ def test_design_achromat_rejects_a_segment_past_the_thickness_bound(capsys):
     assert captured.err.startswith("error: |thickness| = ")
 
 
+@pytest.mark.parametrize("argv", [["delay", "--tau-fs", "1e9"], ["order", "--order", "1e6"]],
+                         ids=["delay", "order"])
+def test_design_plate_past_the_thickness_bound_prints_nothing(capsys, argv):
+    code = main(["design", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: |thickness| = ")
+
+
 def test_design_achromat_with_zero_delay_is_degenerate(capsys):
     code = main(["design", "achromat", "--tau-fs", "0",
                  "--nu-start-thz", "185", "--nu-end-thz", "565"])

@@ -59,6 +59,13 @@ def test_wavelength_range_enforced(quartz):
         group_index(quartz.ordinary, np.array([0.8, 3.0]))
 
 
+@pytest.mark.parametrize("window", [(0.0, 2.0), (-0.5, 2.0), (2.0, 0.5), (1.0, 1.0),
+                                    (float("nan"), 2.0)])
+def test_validity_window_must_be_ordered_and_positive(window):
+    with pytest.raises(ValueError, match="bad validity window for 'bad'"):
+        SellmeierModel(1.0, (), window, label="bad")
+
+
 def test_pole_inside_validity_window_rejected():
     with pytest.raises(ValueError):
         SellmeierModel(1.0, ((0.5, 1.0),), (0.5, 2.0), label="bad")

@@ -8,7 +8,7 @@ from bsbshaper import _cache, dispersion, figures, ftsi, shaper
 from bsbshaper.config import (ConfigError, RunConfig, config_header, load_config,
                               validate_config)
 from bsbshaper.errors import SidebandOverlapError, UndersampledFringeError
-from conftest import CACHES, clear_caches, peak_above_start
+from conftest import CACHES, clear_caches, fresh_path, peak_above_start
 
 
 def _read_csv(path):
@@ -83,6 +83,15 @@ def test_load_config_yaml(tmp_path):
     assert loaded.carrier_nm == 1030
     assert loaded.fwhm_thz == 60.0
     assert loaded.material == "quartz"  # None override leaves the default
+
+
+@pytest.mark.parametrize("text", ["- carrier_nm\n- 1030\n", "carrier_nm 1030\n"],
+                         ids=["list", "string"])
+def test_load_config_rejects_a_file_that_is_not_a_mapping(tmp_path, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match="expected a mapping of config keys"):
+        load_config(cfg)
 
 
 @pytest.mark.parametrize("key", ["thickness_um", "carrier_nm", "fwhm_thz", "tau_ftsi_fs",
@@ -170,8 +179,10 @@ def test_sellmeier_evaluations_per_figure(tmp_path, monkeypatch):
     for figure in figures.FIGURES:
         dispersion._carrier_contrast.cache_clear()
         for expected in (2, 0):
+            outdir = fresh_path(tmp_path, "out")
+            outdir.mkdir()
             calls.clear()
-            figures.run_figure_pipeline(config, figure)
+            figures.run_figure_pipeline(config, figure, str(outdir))
             assert len(calls) == expected, figure
 
 
@@ -233,8 +244,10 @@ def test_a_second_figure_pass_at_2_16_samples_misses_no_cache(tmp_path):
     for figure in figures.FIGURES:
         figures.run_figure_pipeline(config, figure)
     misses = [cache.cache_info().misses for cache in CACHES]
+    outdir = tmp_path / "second"
+    outdir.mkdir()
     for figure in figures.FIGURES:
-        figures.run_figure_pipeline(config, figure)
+        figures.run_figure_pipeline(config, figure, str(outdir))
     assert [cache.cache_info().misses for cache in CACHES] == misses
 
 

@@ -105,6 +105,23 @@ def test_negative_intensity_rejected(grid):
         Interferogram(grid, -np.ones(grid.n_samples), TAU)
 
 
+def test_negative_retrieved_weight_rejected(grid):
+    n = grid.n_samples
+    weight = np.ones(n)
+    weight[7] = -1e-300
+    with pytest.raises(ValueError, match="retrieved weight must be non-negative"):
+        RetrievedPhase(grid, np.zeros(n), weight, np.zeros(n, bool))
+
+
+def test_delay_hint_past_the_pseudo_time_span_has_no_sideband_to_search(pulse100, grid):
+    """The pseudo-time span is 2 pi / omega_step, so a delay hint of the whole span leaves no
+    sample past tau / 2; the default window searches there for the sideband."""
+    span = 2 * np.pi / grid.omega_step
+    gram = Interferogram(grid, np.abs(pulse100.amplitude) ** 2, span)
+    with pytest.raises(SidebandOverlapError, match="no pseudo-time samples beyond the baseband"):
+        retrieve_phase(gram)
+
+
 def test_window_order_must_be_even():
     with pytest.raises(ValueError):
         FtsiWindow(order=3)

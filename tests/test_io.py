@@ -22,26 +22,7 @@ from bsbshaper.errors import GridMismatchError
 from bsbshaper.io import meta_line, read_table, write_table
 from bsbshaper.pulsefield import (SpectralGrid, default_grid, gaussian_pulse, read_field_csv,
                                   read_grid_table, write_field_csv, write_grid_table)
-from conftest import OMEGA0_800, clear_caches, held_after, peak_above_start
-
-# sha256 of the non-comment lines of every default-config figure output (n = 4096)
-FIGURE_DATA_SHA256 = {
-    "fig2_spectra.csv": "2dbce27ce32a12cc3dfca692d543bb5eae13c834ee88d8c5c0f25740e2a0d54a",
-    "fig2_ratio.csv": "7d9864f47d8ea5af9b6069172000abdaecf9e2e3f630c7f67256eaba143aa4cb",
-    "fig3_interferogram_with_bsb.csv":
-        "e0b72bdb0e79a0d512ece88e0147915668000d32ad5c71be48df8e5d868a251a",
-    "fig3_interferogram_without_bsb.csv":
-        "31b0a96f513956475dd4ea85672139c7cb194b4bd791b93900e1e98a0987b62a",
-    "fig3_retrieved_phase.csv": "fcbe3d41b6e2df9b9942f36dd6634cd3a31ee87983326b6524a62efad0f2702b",
-    "fig4_spectra.csv": "05159fe2bb3253c250e67130deed2176851494eb3f2f31cb8db0c457c9b52694",
-    "fig4_ratio.csv": "5635ba9757efb65cf4814fab2093c952460b40ce7f94b106f71842901200b930",
-    "fig5_interferogram_with_bsb.csv":
-        "277ef793bd93848185cbfaa8207bc9450d6d8cc5e55d2f60351df1e38e667499",
-    "fig5_interferogram_without_bsb.csv":
-        "31b0a96f513956475dd4ea85672139c7cb194b4bd791b93900e1e98a0987b62a",
-    "fig5_retrieved_phase.csv": "ee505546d650dad06d3570a3163441d11f1bb2e6cc040669a9d3a805180e3d4c",
-    "fig5_jump_report.txt": "b6b95aabb0b139a3819583c5819bc7534d5bf9acb277e7ba57d35c6ec8bc5166",
-}
+from conftest import OMEGA0_800, clear_caches, fresh_path, held_after, peak_above_start
 
 
 def _data_sha256(path):
@@ -53,17 +34,8 @@ def _data_sha256(path):
     return digest.hexdigest()
 
 
-def test_figure_data_lines_pinned(tmp_path):
-    config = RunConfig(outdir=str(tmp_path))
-    written = {}
-    for fig in figures.FIGURES:
-        for path in figures.run_figure_pipeline(config, fig):
-            written[os.path.basename(path)] = _data_sha256(path)
-    assert written == FIGURE_DATA_SHA256
-
-
 # sha256 of the comment lines of every default-config figure output (n = 4096), the run's
-# outdir in the config.outdir line written as <outdir>; the data digests above skip them
+# outdir in the config.outdir line written as <outdir>; the benchmark's data digests skip them
 FIGURE_COMMENT_SHA256 = {
     "fig2_spectra.csv": "b4bf0d878a3c180b1d7e8920ac0f61a05bd52af8bf14df8a877521b764787232",
     "fig2_ratio.csv": "b4bf0d878a3c180b1d7e8920ac0f61a05bd52af8bf14df8a877521b764787232",
@@ -99,20 +71,25 @@ def test_figure_comment_lines_pinned(tmp_path):
                         "# delay_hint=1e-12\n"}  # the two meta_line lines, in plain digits
 
 
-# the benchmark's record of every figure output at n = 2^16, where numpy elides temporaries,
-# which it never does at 4096: there the operand order of each product shows in the bytes
+# the benchmark's record of the data lines of every figure output, at the default n = 4096 and
+# at 2^16, where numpy elides temporaries, which it never does at 4096: there the operand order
+# of each product shows in the bytes
 BENCHMARK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                    "reference.json")
 
 
 @pytest.mark.parametrize("figure", figures.FIGURES)
 def test_full_size_figure_data_lines_match_the_benchmark_reference(tmp_path, figure):
+    """At the default size too, so that one file records the pinned bytes."""
     with open(BENCHMARK_REFERENCE) as fh:
-        expected = json.load(fh)["figures"][str(2**16)][figure]
-    config = RunConfig(n_samples=2**16, outdir=str(tmp_path))
-    written = {os.path.basename(path): _data_sha256(path)
-               for path in figures.run_figure_pipeline(config, figure)}
-    assert written == expected
+        recorded = json.load(fh)["figures"]
+    for n in (4096, 2**16):
+        outdir = tmp_path / str(n)
+        outdir.mkdir()
+        config = RunConfig(n_samples=n, outdir=str(outdir))
+        written = {os.path.basename(path): _data_sha256(path)
+                   for path in figures.run_figure_pipeline(config, figure)}
+        assert written == recorded[str(n)][figure], n
 
 
 def test_table_roundtrip_is_exact(tmp_path):
@@ -271,12 +248,13 @@ def _broken_tables(draw):
 @given(_broken_tables())
 def test_read_table_fuzz_rejects_broken_tables(tmp_path, case):
     valid, names, rows, broken = case
-    path = tmp_path / "table.csv"
+    path = fresh_path(tmp_path, "table.csv")
     path.write_text(valid)
     _, data = read_table(path, ("grid",))
     assert list(data) == names
     assert np.array_equal(np.column_stack([data[n] for n in names]),
                           np.array(rows, dtype=float))
+    path = fresh_path(tmp_path, "broken.csv")
     path.write_text(broken)
     with pytest.raises(ValueError):
         read_table(path, ("grid",))
@@ -359,9 +337,13 @@ def test_frequency_cell_cache_stays_within_its_bound(tmp_path, monkeypatch):
     clear_caches()  # all that stays from here on is cached
     monkeypatch.setattr(_cache, "CACHE_BYTES", 1 << 20)
 
+    outdirs = [fresh_path(tmp_path, "out") for _ in range(8)]
+    for outdir in outdirs:
+        outdir.mkdir()
+
     def run():
-        for k in range(8):
-            config = RunConfig(n_samples=2**14, nu_start_thz=150.0 + k, outdir=str(tmp_path))
+        for k, outdir in enumerate(outdirs):
+            config = RunConfig(n_samples=2**14, nu_start_thz=150.0 + k, outdir=str(outdir))
             for figure in ("fig2", "fig4"):
                 figures.run_figure_pipeline(config, figure)
 
@@ -373,10 +355,10 @@ def test_frequency_cell_cache_stays_within_its_bound(tmp_path, monkeypatch):
 
 def test_equal_int_and_float_field_grids_each_write_their_own_grid_line(tmp_path):
     """The grids are equal, but an int field is written without the ".0" of a float one."""
-    path = tmp_path / "table.csv"
     for grid, line in [(SpectralGrid(4, 1, 1), "# grid=4 1 1"),
                        (SpectralGrid(4, 1.0, 1.0), "# grid=4 1.0 1.0"),
                        (SpectralGrid(4, 1, 1), "# grid=4 1 1")]:
+        path = fresh_path(tmp_path, "table.csv")
         write_grid_table(path, grid, [], ["x"], [np.arange(4.0)])
         assert path.read_text().splitlines()[:3] == [line, "omega_rad_per_s,x", "1.0,0.0"]
         read, _, data = read_grid_table(path, (), ("x",))
@@ -444,7 +426,7 @@ def test_table_writer_working_set_does_not_grow_with_the_table(tmp_path):
     Measured 1.35-1.42 MB for every shape at both sizes, and at most 1 KB of growth.  A writer
     that formats a whole table at once holds several MB at 2^14 and four times that at 2^16.
     """
-    path, peaks = tmp_path / "table.csv", {}
+    peaks = {}
     for n in (2**14, 2**16):
         rng = np.random.default_rng(n)
         for shape, (floats, bools) in _TABLE_SHAPES.items():
@@ -453,7 +435,9 @@ def test_table_writer_working_set_does_not_grow_with_the_table(tmp_path):
                          for _ in range(floats)),
                        *(rng.random(n) < 0.5 for _ in range(bools))]
             names = [f"c{j}" for j in range(len(columns))]
-            write_table(path, [], names, columns)  # fills the grid's cells and the tables
+            # the first write fills the grid's cells and the tables
+            write_table(fresh_path(tmp_path, "table.csv"), [], names, columns)
+            path = fresh_path(tmp_path, "table.csv")
             peaks[shape, n] = peak_above_start(lambda: write_table(path, [], names, columns))
     for shape in _TABLE_SHAPES:
         assert peaks[shape, 2**14] <= 1.5e6, shape
@@ -553,7 +537,7 @@ def test_boundary_floats_are_written_as_repr(tmp_path, family):
 def _first_misread(tmp_path, cells):
     """None, or (cell, read, float(cell)) for the first cell that read_table does not read as
     float() does, bit for bit."""
-    path = tmp_path / "cells.csv"
+    path = fresh_path(tmp_path, "cells.csv")
     path.write_text("x\n" + "".join(f"{cell}\n" for cell in cells))
     read = read_table(path)[1]["x"]
     reference = np.array([float(cell) for cell in cells])
@@ -636,6 +620,17 @@ def test_integer_and_boolean_cells_are_their_ints(tmp_path):
 def test_tables_without_rows_or_columns():
     assert _written(["a", "b"], [np.empty(0), np.empty(0, bool)]) == "a,b\n"
     assert _written([], []) == "\n"
+
+
+@pytest.mark.parametrize("names, columns, message", [
+    (["a", "b"], [np.arange(2.0)], "^2 column names for 1 columns$"),
+    (["a"], [np.zeros((2, 2))], r"^column a: shape \(2, 2\) is not one column$"),
+], ids=["name-too-many", "2-d"])
+def test_columns_that_are_not_one_per_name_are_rejected(tmp_path, names, columns, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=message):
+        write_table(path, [], names, columns)
+    assert not path.exists()
 
 
 def test_columns_of_different_lengths_are_rejected(tmp_path):

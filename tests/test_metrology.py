@@ -71,6 +71,40 @@ def test_thickness_for_order_value(quartz):
     assert sol.achieved_order == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("solve, target", [(thickness_for_delay, 1e-9), (thickness_for_delay, -1e-9),
+                                           (thickness_for_order, 1e6)],
+                         ids=["delay", "negative-delay", "order"])
+def test_plate_solvers_reject_a_plate_past_the_thickness_bound(quartz, solve, target):
+    with pytest.raises(ValueError, match=r"^\|thickness\| = .* m exceeds the 1e-02 m physical"):
+        solve(quartz, OMEGA0_800, target)
+
+
+def test_plate_design_obeys_the_thickness_bound(quartz):
+    c = dispersion.contrast(quartz, OMEGA0_800)
+    assert metrology.plate_design(c, -shaper.MAX_THICKNESS).segments == \
+        Compensator(quartz, -shaper.MAX_THICKNESS).segments
+    for length in (np.nextafter(shaper.MAX_THICKNESS, 1.0), float("nan")):
+        with pytest.raises(ValueError, match="physical bound"):
+            metrology.plate_design(c, length)
+
+
+def test_order_design_rejects_an_isotropic_material(quartz):
+    iso = dispersion.Material("iso", quartz.ordinary, quartz.ordinary)
+    with pytest.raises(DegenerateMaterialError, match="no birefringence at the carrier"):
+        thickness_for_order(iso, OMEGA0_800, 0.5)
+
+
+@pytest.mark.parametrize("mode", shaper.MODES)
+def test_plate_and_stack_scores_are_score_segments(quartz, kdp, pulse100, mode):
+    plate = thickness_for_order(quartz, OMEGA0_800, 0.5)
+    assert score_compensator(Compensator(*plate.segments[0]), pulse100, mode) == \
+        metrology.score_segments(plate.segments, pulse100, mode)
+    pulse = gaussian_pulse(KDP_GRID, OMEGA0_800, 2 * np.pi * 100e12)
+    stack = achromat_design(quartz, kdp, OMEGA0_800, 0.0, 0.17e-15)
+    assert stack_overlap(stack, pulse, mode) == \
+        metrology.score_segments(stack.segments, pulse, mode).overlap
+
+
 def test_order_design_rejects_negative(quartz):
     with pytest.raises(ValueError):
         thickness_for_order(quartz, OMEGA0_800, -1.0)
